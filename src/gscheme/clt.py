@@ -7,6 +7,7 @@ the recombining lattice (or on a grid when the lattice would be too large).
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 
@@ -18,6 +19,8 @@ from .errors import ArgumentError, ConfigurationError, ResourceLimitError
 from .oracles import ReferenceSolution, ThetaSet, maximal_sup
 from .scheme import InitialData, SchemeConfig, solve_grid, solve_lattice
 from .uncertainty import UncertaintySet, validate
+
+log = logging.getLogger("gscheme")
 
 __all__ = [
     "ThetaSet",
@@ -53,9 +56,10 @@ def clt_functional(
     if backend in ("auto", "lattice"):
         try:
             return solve_lattice(u, delta, n, [0.0], phi, node_cap=node_cap).value
-        except ResourceLimitError:
+        except ResourceLimitError as exc:
             if backend == "lattice":
                 raise
+            log.info("clt_functional n=%d: lattice refused (%s); falling back to the grid", n, exc)
     if u.d != 1:
         raise ArgumentError("grid fallback is implemented for d = 1")
     max_x = max(float(np.max(np.abs(m.xs), initial=0.0)) for m in u.measures)

@@ -5,8 +5,9 @@ once per time step.  Two backends realize it:
 
 * a uniform spatial grid with monotone piecewise-linear interpolation and
   clamp-constant extrapolation (general, scales to d <= 3), and
-* an exact recombining lattice over the reachable displacement sums
-  (interpolation-free; usable whenever the multiset count stays small).
+* an exact recombining lattice whose nodes are the distinct reachable
+  positions (interpolation-free; displacements that are whole multiples of
+  one quantum give one integer interval of nodes per level).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -284,16 +284,19 @@ def solve_grid(u: UncertaintySet, cfg: SchemeConfig, phi: InitialData) -> Scheme
 
 @dataclass(frozen=True)
 class LatticeState:
-    """Values on the recombining set of displacement multisets of one size.
+    """Values on the distinct positions reachable from x0 in ``step`` steps.
 
-    Keys are count tuples over the distinct per-step displacement set; ``step``
-    is the multiset size, so the key count equals the number of step-multisets.
+    ``positions`` has shape (N, d) and is sorted lexicographically; row i is
+    the float sum ``x0 + z_1 + ... + z_step`` along one path reaching node i
+    (paths whose sums differ only by rounding share the node), and
+    ``values[i]`` is the recursion's value there.
     """
 
     x0: np.ndarray
     displacements: np.ndarray
     step: int
-    values: dict
+    positions: np.ndarray
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -322,6 +325,28 @@ def _distinct_displacements(u: UncertaintySet, delta: float):
     return np.array(disp), tables
 
 
+# Sums reaching one position by different paths differ by ~n * 1e-16 of the
+# lattice's extent; positions nearer than this fraction of it are one node.
+MERGE_RTOL = 1e-9
+
+
+def _merge_positions(cand: np.ndarray, tol: float):
+    """Group candidate positions (rows of ``cand``) that agree within tol on every axis.
+
+    Returns each candidate's node number, nodes numbered in lexicographic
+    order, and the index of one candidate per node.
+    """
+    labels = np.zeros(cand.shape[0], dtype=np.intp)
+    for axis in range(cand.shape[1]):
+        order = np.lexsort((cand[:, axis], labels))
+        new = np.empty(order.size, dtype=bool)
+        new[0] = True
+        np.greater(np.diff(cand[order, axis]), tol, out=new[1:])
+        new[1:] |= labels[order[1:]] != labels[order[:-1]]
+        labels[order] = np.cumsum(new) - 1
+    return labels, order[new]
+
+
 def solve_lattice(
     u: UncertaintySet,
     delta: float,
@@ -331,11 +356,18 @@ def solve_lattice(
     node_cap: int = 2_000_000,
     keep_levels: bool = False,
 ) -> LatticeResult:
-    """Exact backward recursion over the recombining displacement lattice.
+    """Exact backward recursion over the distinct reachable positions.
 
-    At each multiset node the value is the family maximum of the weighted
-    child values; the leaves evaluate phi.  No interpolation is involved, so
-    the result realizes the recursion exactly at x0.
+    Level j+1 holds the distinct sums p + z over the nodes p of level j and
+    the distinct displacements z.  The leaves evaluate phi at their summed
+    positions; each backward step takes, per displacement, the child values
+    by one slice (or one gather where the children are not contiguous) and
+    then the family maximum of the weighted sums.  No interpolation is
+    involved, so the result realizes the recursion exactly at x0.
+
+    Raises ResourceLimitError when a level would hold more than ``node_cap``
+    nodes, or when a family over the cap by its multiset count needs more
+    than ``2 * node_cap`` candidate sums and held child indices.
     """
     if n_steps < 1:
         raise ArgumentError("n_steps must be at least 1")
@@ -343,96 +375,60 @@ def solve_lattice(
         raise ArgumentError(f"delta must lie in (0, 1], got {delta}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     disp, tables = _distinct_displacements(u, delta)
-    m = disp.shape[0]
-    leaf_count = math.comb(n_steps + m - 1, n_steps)
-    if leaf_count > node_cap:
-        raise ResourceLimitError(
-            f"lattice would need {leaf_count} leaf nodes (> cap {node_cap}); use the grid backend"
-        )
+    m, d = disp.shape
+    if x0.shape != (d,):
+        raise ArgumentError(f"x0 must have {d} coordinates, got {x0.size}")
+    tol = MERGE_RTOL * (float(np.max(np.abs(x0))) + n_steps * float(np.max(np.abs(disp))))
 
-    if m <= 2:
-        return _solve_lattice_small(u, delta, n_steps, x0, phi, disp, tables, keep_levels)
+    # the multiset count bounds every level; a lattice it does not clear is
+    # held to the budget, which bounds the memory spent before a refusal
+    budget = math.inf if math.comb(n_steps + m - 1, n_steps) <= node_cap else 2 * node_cap
+    held = 0
 
-    # general case: per-level count-tuple keys with dict index maps
-    def level_keys(j):
-        keys = []
-        for combo in combinations_with_replacement(range(m), j):
-            counts = [0] * m
-            for s in combo:
-                counts[s] += 1
-            keys.append(tuple(counts))
-        return keys
-
-    keys = level_keys(n_steps)
-    counts = np.array(keys, dtype=float)
-    positions = x0[None, :] + counts @ disp
-    vals = phi(positions[:, 0] if x0.size == 1 else positions)
-    levels = [LatticeState(x0, disp, n_steps, dict(zip(keys, vals.tolist())))] if keep_levels else None
-
-    for j in range(n_steps - 1, -1, -1):
-        idx_map = {k: i for i, k in enumerate(keys)}
-        new_keys = level_keys(j)
-        child_idx = np.empty((m, len(new_keys)), dtype=np.int64)
-        for s in range(m):
-            for i, k in enumerate(new_keys):
-                child = list(k)
-                child[s] += 1
-                child_idx[s, i] = idx_map[tuple(child)]
-        best = None
-        for atom_idx, ps in tables:
-            acc = np.zeros(len(new_keys))
-            for a, w in zip(atom_idx, ps):
-                acc += w * vals[child_idx[a]]
-            best = acc if best is None else np.maximum(best, acc)
-        vals, keys = best, new_keys
+    # forward: node positions per level and, per displacement, where each
+    # node's child sits in the next level (a slice when contiguous)
+    pos = x0[None, :]
+    positions = [pos]
+    links = []
+    for j in range(1, n_steps + 1):
+        size = pos.shape[0]
+        if held + m * size > budget:
+            raise ResourceLimitError(
+                f"lattice level {j} of {n_steps} would need {held + m * size} candidate "
+                f"sums and held child indices (> 2 x cap {node_cap}); use the grid backend"
+            )
+        cand = (disp[:, None, :] + pos[None, :, :]).reshape(-1, d)
+        label, first = _merge_positions(cand, tol)
+        if first.size > node_cap:
+            raise ResourceLimitError(
+                f"lattice level {j} of {n_steps} already holds {first.size} nodes "
+                f"(> cap {node_cap}); use the grid backend"
+            )
+        children = label.reshape(m, size)
+        contiguous = (np.diff(children, axis=1) == 1).all(axis=1)
+        links.append((size, [slice(c[0], c[0] + size) if ok else c
+                             for c, ok in zip(children, contiguous)]))
+        held += size * int(np.count_nonzero(~contiguous))
+        pos = cand[first]
         if keep_levels:
-            levels.append(LatticeState(x0, disp, j, dict(zip(keys, vals.tolist()))))
+            positions.append(pos)
 
-    final = LatticeState(x0, disp, 0, {tuple([0] * m): float(vals[0])})
-    return LatticeResult(float(vals[0]), final, tuple(levels) if keep_levels else None)
-
-
-def _solve_lattice_small(u, delta, n_steps, x0, phi, disp, tables, keep_levels):
-    """Vectorized path for at most two distinct displacements."""
-    m = disp.shape[0]
-
-    def keys_of(j, counts0):
-        if m == 1:
-            return [(int(c),) for c in counts0]
-        return [(int(j - c), int(c)) for c in counts0]
-
-    if m == 1:
-        counts = np.zeros((1, 1))
-        counts[0, 0] = n_steps
-    else:
-        c1 = np.arange(n_steps + 1, dtype=float)
-        counts = np.stack([n_steps - c1, c1], axis=-1)
-    positions = x0[None, :] + counts @ disp
-    vals = phi(positions[:, 0] if x0.size == 1 else positions)
-    vals = np.atleast_1d(np.asarray(vals, dtype=float))
-    levels = None
-    if keep_levels:
-        ks = keys_of(n_steps, counts[:, -1] if m == 2 else counts[:, 0])
-        levels = [LatticeState(x0, disp, n_steps, dict(zip(ks, vals.tolist())))]
-
+    vals = np.atleast_1d(phi(pos[:, 0] if d == 1 else pos))
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError("initial data evaluated non-finite on the lattice")
+    levels = [LatticeState(x0, disp, n_steps, pos, vals)] if keep_levels else None
     for j in range(n_steps - 1, -1, -1):
-        size = j + 1 if m == 2 else 1
+        size, refs = links[j]
+        child = [vals[r] for r in refs]
         best = None
         for atom_idx, ps in tables:
             acc = np.zeros(size)
             for a, w in zip(atom_idx, ps):
-                if m == 1:
-                    acc += w * vals
-                else:
-                    # adding displacement 0 leaves the count of symbol 1; adding
-                    # displacement 1 bumps it, i.e. shifts the slice by one
-                    acc += w * (vals[0:size] if a == 0 else vals[1 : size + 1])
+                acc += w * child[a]
             best = acc if best is None else np.maximum(best, acc)
         vals = best
         if keep_levels:
-            c1 = np.arange(size, dtype=float)
-            ks = keys_of(j, c1 if m == 2 else np.array([j], dtype=float))
-            levels.append(LatticeState(x0, disp, j, dict(zip(ks, vals.tolist()))))
+            levels.append(LatticeState(x0, disp, j, positions[j], vals))
 
-    final = LatticeState(x0, disp, 0, {tuple([0] * m): float(vals[0])})
+    final = LatticeState(x0, disp, 0, positions[0], vals)
     return LatticeResult(float(vals[0]), final, tuple(levels) if keep_levels else None)

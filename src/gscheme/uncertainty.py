@@ -225,29 +225,49 @@ def to_text(u: UncertaintySet) -> str:
 
 
 def from_text(text: str) -> UncertaintySet:
-    """Parse the plain-text measure format produced by :func:`to_text`."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    """Parse the plain-text measure format produced by :func:`to_text`.
+
+    Malformed input raises :class:`ArgumentError` naming the 1-based line.
+    """
+    lines = [
+        (no, ln.strip())
+        for no, ln in enumerate(text.splitlines(), start=1)
+        if ln.strip() and not ln.startswith("#")
+    ]
     if not lines:
         raise ArgumentError("empty measure file")
-    header = dict(part.split("=") for part in lines[0].split())
+    head_no, head = lines[0]
     try:
+        header = dict(part.split("=") for part in head.split())
         d = int(header["d"])
         n_measures = int(header["measures"])
     except (KeyError, ValueError) as exc:
-        raise ArgumentError(f"bad measure-file header {lines[0]!r}") from exc
-    groups: dict[int, list[Atom]] = {i: [] for i in range(n_measures)}
-    for ln in lines[1:]:
+        raise ArgumentError(f"line {head_no}: bad measure-file header {head!r}") from exc
+    if d < 1 or n_measures < 1:
+        raise ArgumentError(f"line {head_no}: header needs d >= 1 and measures >= 1, got {head!r}")
+    # filled as atom lines arrive, so a huge declared count allocates nothing
+    groups: dict[int, list[Atom]] = {}
+    for no, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 1 + 2 * d + 1:
-            raise ArgumentError(f"bad atom line {ln!r}: expected {1 + 2 * d + 1} fields")
-        idx = int(parts[0])
-        if idx not in groups:
-            raise ArgumentError(f"atom line references measure {idx}, header declared {n_measures}")
-        vals = [float(s) for s in parts[1:]]
-        groups[idx].append(Atom(vals[:d], vals[d : 2 * d], vals[2 * d]))
-    empty = [i for i, atoms in groups.items() if not atoms]
-    if empty:
-        raise ArgumentError(f"measures {empty} declared in header but have no atoms")
+            raise ArgumentError(
+                f"line {no}: bad atom line {ln!r}: expected {1 + 2 * d + 1} fields"
+            )
+        try:
+            idx = int(parts[0])
+            vals = [float(s) for s in parts[1:]]
+        except ValueError as exc:
+            raise ArgumentError(f"line {no}: bad atom line {ln!r}: {exc}") from exc
+        if not 0 <= idx < n_measures:
+            raise ArgumentError(
+                f"line {no}: atom line references measure {idx}, header declared {n_measures}"
+            )
+        groups.setdefault(idx, []).append(Atom(vals[:d], vals[d : 2 * d], vals[2 * d]))
+    if len(groups) < n_measures:
+        raise ArgumentError(
+            f"line {head_no}: header declares {n_measures} measures, "
+            f"{n_measures - len(groups)} of them have no atoms"
+        )
     return UncertaintySet(tuple(DiscreteMeasure(tuple(groups[i])) for i in range(n_measures)), d=d)
 
 

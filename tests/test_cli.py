@@ -195,6 +195,23 @@ class TestSubcommands:
         assert "error" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("d=1 measures=1\n0 abc 0 1\n", "line 2"),
+        ("d=1 measures=1 junk\n0 0.1 0 0.5\n0 -0.1 0 0.5\n", "line 1"),
+    ],
+)
+def test_malformed_family_file_exits_1_in_process(tmp_path, capsys, text, where):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    rc = main(["bounds", "--cphi", "1", "--beta", "1", "--T", "1", "--family", str(bad)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert where in err
+
+
 def test_main_returns_int_in_process(capsys):
     rc = main(["oracle", "--which", "normal", "--phi", "relu", "--sigma", "1.0"])
     assert rc == 0

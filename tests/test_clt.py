@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -53,6 +54,43 @@ class TestCltFunctional:
         exact = gs.clt_functional(u, 8, phi, backend="lattice")
         approx = gs.clt_functional(u, 8, phi, backend="grid", grid_h=5e-4)
         assert approx == pytest.approx(exact, abs=5e-3)
+
+    def test_commensurate_nine_sigma_family_stays_on_lattice(self, caplog):
+        # sigma_i = k_i * 0.025: 18 displacements, yet level 64 holds only
+        # 2 * 12 * 64 + 1 positions, so the lattice takes it without a fallback
+        u = gs.pm_sigma_family([0.025 * k for k in (1, 2, 3, 5, 7, 8, 10, 11, 12)])
+        phi = gs.builtin_phi("capped-relu")
+        with caplog.at_level(logging.INFO, logger="gscheme"):
+            exact = gs.clt_functional(u, 64, phi, backend="lattice")
+            auto = gs.clt_functional(u, 64, phi)
+        assert not caplog.records
+        assert auto == exact
+        approx = gs.clt_functional(u, 64, phi, backend="grid")
+        assert approx == pytest.approx(exact, abs=5e-3)
+
+    def test_lattice_fallback_is_logged(self, caplog):
+        u = gs.pm_sigma_family([0.1, 0.3])
+        phi = gs.builtin_phi("capped-relu")
+        with caplog.at_level(logging.INFO, logger="gscheme"):
+            value = gs.clt_functional(u, 8, phi, node_cap=3, grid_h=5e-4)
+        # level 1 holds 4 positions, over a cap of 3
+        [record] = caplog.records
+        assert record.name == "gscheme"
+        assert "4 nodes" in record.getMessage() and "cap 3" in record.getMessage()
+        exact = gs.clt_functional(u, 8, phi, backend="lattice")
+        assert value == pytest.approx(exact, abs=5e-3)
+        with pytest.raises(gs.ResourceLimitError):
+            gs.clt_functional(u, 8, phi, backend="lattice", node_cap=3)
+
+    @pytest.mark.parametrize("backend", ["lattice", "grid"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_initial_data_raises(self, backend, bad):
+        u = gs.pm_sigma_family([0.1, 0.3])
+        phi = gs.InitialData(
+            "bad", lambda x: np.where(np.asarray(x, float) > 0.2, bad, 0.0), 0.0
+        )
+        with pytest.raises(gs.EvaluationError):
+            gs.clt_functional(u, 8, phi, backend=backend)
 
     def test_rejects_mean_uncertain_x(self):
         biased = gs.UncertaintySet((gs.DiscreteMeasure((gs.Atom([0.3], [0.0], 1.0),)),), d=1)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -177,20 +178,59 @@ def test_lattice_matches_brute_force_two_steps(rng):
         assert v_lat == pytest.approx(v_tree, abs=1e-12)
 
 
+def _distinct_sums(disp, j, x0):
+    """Sorted distinct values of x0 plus j displacements, by multiset enumeration."""
+    sums = sorted(x0 + sum(c) for c in combinations_with_replacement(disp, j))
+    return [v for i, v in enumerate(sums) if i == 0 or v - sums[i - 1] > 1e-9]
+
+
 def test_lattice_recombination_counts(rng):
-    u, phi, _n, delta, x0 = make_shared_displacement_config(rng)
-    n = 5
-    res = gs.solve_lattice(u, delta, n, [x0], phi, keep_levels=True)
-    m = res.final.displacements.shape[0]
-    assert m <= 3
-    for level in res.levels:
-        assert len(level.values) == math.comb(level.step + m - 1, level.step)
+    u_rand, phi, _n, delta, x0 = make_shared_displacement_config(rng)
+    # the commensurate family recombines far below the multiset count
+    for u in (u_rand, gs.pm_sigma_family([0.1, 0.3])):
+        n = 5
+        res = gs.solve_lattice(u, delta, n, [x0], phi, keep_levels=True)
+        disp = res.final.displacements[:, 0].tolist()
+        m = len(disp)
+        assert [level.step for level in res.levels] == list(range(n, -1, -1))
+        for level in res.levels:
+            want = _distinct_sums(disp, level.step, x0)
+            assert level.values.shape == (len(want),)
+            assert level.positions.shape == (len(want), 1)
+            assert np.allclose(level.positions[:, 0], want, rtol=0, atol=1e-12)
+            assert len(want) <= math.comb(level.step + m - 1, level.step)
+    # pm-sigma{0.1, 0.3}: positions k * 0.1 * sqrt(delta) with |k| <= 3j, k = j mod 2
+    assert [len(level.values) for level in res.levels] == [3 * j + 1 for j in range(n, -1, -1)]
 
 
 def test_lattice_node_cap():
-    u = gs.pm_sigma_family([0.1, 0.2, 0.3, 0.4])  # 8 distinct displacements
+    phi = gs.builtin_phi("abs")
+    # incommensurate sigmas: level j holds ~j^4/3 positions, so the forward
+    # pass passes twice the cap in candidate sums and held links by j ~ 11
+    u = gs.pm_sigma_family([0.1, 0.1 * math.sqrt(2), 0.1 * math.sqrt(3), 0.1 * math.sqrt(5)])
     with pytest.raises(gs.ResourceLimitError, match="grid backend"):
-        gs.solve_lattice(u, 1e-4, 200, [0.0], gs.builtin_phi("abs"), node_cap=10_000)
+        gs.solve_lattice(u, 1e-4, 200, [0.0], phi, node_cap=10_000)
+    # a level over the cap: pm-sigma{0.1, 0.3} has 4 positions after one step
+    u2 = gs.pm_sigma_family([0.1, 0.3])
+    with pytest.raises(gs.ResourceLimitError, match="holds 4 nodes .* cap 3.*grid backend"):
+        gs.solve_lattice(u2, 1 / 8, 8, [0.0], phi, node_cap=3)
+    # within the cap by the multiset count: never refused, however many
+    # child indices the forward pass holds (about 3 * C(12, 3) = 660 > 2 * 66)
+    u3 = gs.UncertaintySet((gs.DiscreteMeasure((
+        gs.Atom([0.5], [0.1], 0.25), gs.Atom([-0.5], [0.3], 0.25), gs.Atom([0.0], [-0.2], 0.5),
+    )),), d=1)
+    res = gs.solve_lattice(u3, 0.5, 10, [0.0], phi, node_cap=math.comb(12, 10), keep_levels=True)
+    assert len(res.levels[0].values) == math.comb(12, 10)
+
+
+def test_lattice_generic_two_sigma_matches_brute_force():
+    u = gs.pm_sigma_family([0.1734567, 0.3])
+    phi = gs.builtin_phi("capped-relu")
+    for n in (1, 2, 3, 4):
+        for x0 in (0.0, -0.07):
+            lat = gs.solve_lattice(u, 1.0 / n, n, [x0], phi).value
+            tree = gs.brute_force_tree(u, 1.0 / n, n, [x0], phi)
+            assert lat == pytest.approx(tree, abs=1e-12)
 
 
 def test_lattice_crr_matches_degenerate_pricer():
@@ -258,6 +298,8 @@ def test_two_dimensional_lattice_matches_brute_force():
         lat = gs.solve_lattice(u, 0.49, n, [0.2, -0.1], phi).value
         tree = gs.brute_force_tree(u, 0.49, n, [0.2, -0.1], phi)
         assert lat == pytest.approx(tree, abs=1e-12)
+    with pytest.raises(gs.ArgumentError, match="2 coordinates"):
+        gs.solve_lattice(u, 0.49, 2, [0.2], phi)
 
 
 def test_two_dimensional_forward_operator():

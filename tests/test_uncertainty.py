@@ -189,3 +189,20 @@ def test_from_text_rejects_malformed():
         gs.from_text("d=1 measures=1\n0 1.0 0.0\n")  # missing weight column
     with pytest.raises(gs.ArgumentError):
         gs.from_text("d=1 measures=2\n0 1.0 0.0 1.0\n")  # declared measure missing
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("d=1 measures=1\n0 abc 0 1\n", "line 2"),
+        ("d=1 measures=1\n\n# comment\nx 0.5 0 1\n", "line 4"),
+        ("d=1 measures\n0 0.5 0 1\n", "line 1"),
+        ("# header follows\nd=1 measures=1 v2\n0 0.5 0 1\n", "line 2"),
+        ("d=0 measures=1\n0 1\n", "line 1"),
+        ("d=1 measures=0\n", "line 1"),
+        ("d=1 measures=1000000000000\n0 0.5 0 1\n", "line 1"),
+    ],
+)
+def test_from_text_names_the_bad_line(text, where):
+    with pytest.raises(gs.ArgumentError, match=where):
+        gs.from_text(text)
