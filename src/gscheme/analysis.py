@@ -226,7 +226,7 @@ def _random_family(rng: np.random.Generator, d: int) -> UncertaintySet:
     return UncertaintySet(tuple(measures), d=d)
 
 
-def axiom_suite(n_trials: int = 200, seed: int = 0, tol: float = 1e-12):
+def axiom_suite(n_trials: int = 200, seed: int = 0):
     """Randomized check of the four sublinear-expectation axioms.
 
     Each trial draws a family and random payoff tables on its atoms, then

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,12 +38,6 @@ from .scheme import SchemeConfig, solve_grid
 from .uncertainty import load_measures, validate
 
 SUBCOMMANDS = ("gheat", "clt", "lln", "bsb", "bounds", "consistency", "oracle")
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    options: dict = field(default_factory=dict)
 
 
 def _family_options(p, need_theta=False):
@@ -161,10 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def parse_args(argv) -> RunConfig:
-    """Validated run configuration; argparse exits with code 2 on usage errors."""
-    ns = build_parser().parse_args(argv)
-    return RunConfig(ns.subcommand, vars(ns))
+def parse_args(argv) -> argparse.Namespace:
+    """Validated run options; argparse exits with code 2 on usage errors."""
+    return build_parser().parse_args(argv)
 
 
 def emit_csv(rows, path, header=None, sidecar: str | None = None) -> None:
@@ -224,19 +216,18 @@ def _print_experiment(result: ExperimentResult, out=sys.stdout):
           file=out)
 
 
-def _sidecar(cfg: RunConfig) -> str:
-    skip = {"out", "dump_steps"}
-    parts = [cfg.subcommand] + [
+def _sidecar(ns: argparse.Namespace) -> str:
+    skip = {"out", "dump_steps", "subcommand"}
+    parts = [ns.subcommand] + [
         f"--{k.replace('_', '-')}={v}"
-        for k, v in sorted(cfg.options.items())
-        if k not in skip and k != "subcommand" and v is not None
+        for k, v in sorted(vars(ns).items())
+        if k not in skip and v is not None
     ]
     return "gscheme " + " ".join(parts)
 
 
-def _run(cfg: RunConfig) -> int:
-    ns = argparse.Namespace(**cfg.options)
-    cmd = cfg.subcommand
+def _run(ns: argparse.Namespace) -> int:
+    cmd = ns.subcommand
     if cmd == "gheat":
         u = _load_family(ns)
         phi = builtin_phi(ns.phi)
@@ -256,7 +247,7 @@ def _run(cfg: RunConfig) -> int:
         print(f"u({fmt17(ns.T)}, {fmt17(ns.x_eval)}) = {fmt17(value)}")
         if ns.out:
             emit_csv([(ns.T, ns.x_eval, value)], ns.out, header=("t", "x", "value"),
-                     sidecar=_sidecar(cfg))
+                     sidecar=_sidecar(ns))
         return 0
 
     if cmd == "clt":
@@ -271,7 +262,7 @@ def _run(cfg: RunConfig) -> int:
         _print_experiment(result)
         print(f"reference {fmt17(ref.value)} (accuracy {ref.accuracy:.2e}, {ref.method})")
         if ns.out:
-            emit_csv(result, ns.out, sidecar=_sidecar(cfg))
+            emit_csv(result, ns.out, sidecar=_sidecar(ns))
         return 0 if result.passed else 3
 
     if cmd == "lln":
@@ -282,7 +273,7 @@ def _run(cfg: RunConfig) -> int:
         result = lln_experiment(u, theta, n_list, phi=phi)
         _print_experiment(result)
         if ns.out:
-            emit_csv(result, ns.out, sidecar=_sidecar(cfg))
+            emit_csv(result, ns.out, sidecar=_sidecar(ns))
         return 0 if result.passed else 3
 
     if cmd == "bsb":
@@ -304,7 +295,7 @@ def _run(cfg: RunConfig) -> int:
             price = bsb_price(spec, ns.s0, backend=ns.backend)
         print(f"price = {fmt17(price)}")
         if ns.out:
-            emit_csv([(ns.s0, float(price))], ns.out, header=("s0", "price"), sidecar=_sidecar(cfg))
+            emit_csv([(ns.s0, float(price))], ns.out, header=("s0", "price"), sidecar=_sidecar(ns))
         return 0
 
     if cmd == "bounds":
@@ -316,7 +307,7 @@ def _run(cfg: RunConfig) -> int:
             print(f"{key:<{width}} = {fmt17(val)}")
         print(f"{'explicit_applicable':<{width}} = {str(report.explicit_applicable).lower()}")
         if ns.out:
-            emit_csv(report, ns.out, sidecar=_sidecar(cfg))
+            emit_csv(report, ns.out, sidecar=_sidecar(ns))
         return 0
 
     if cmd == "consistency":
@@ -336,7 +327,7 @@ def _run(cfg: RunConfig) -> int:
             print(f"{fmt17(d)},{fmt17(m)},{fmt17(b)},{str(m <= b).lower()}")
         print(f"consistency[{ns.variant}]: {'PASS' if ok else 'FAIL'}")
         if ns.out:
-            emit_csv(rows, ns.out, header=("resolution", "error", "bound"), sidecar=_sidecar(cfg))
+            emit_csv(rows, ns.out, header=("resolution", "error", "bound"), sidecar=_sidecar(ns))
         return 0 if ok else 3
 
     if cmd == "oracle":
@@ -356,9 +347,9 @@ def _run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(sys.argv[1:] if argv is None else argv)
+    ns = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return _run(cfg)
+        return _run(ns)
     except GschemeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

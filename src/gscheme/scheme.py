@@ -110,6 +110,19 @@ class SchemeConfig:
         return self._flat_nodes
 
 
+def _cell(t: np.ndarray, lo: float, h: float, n: int):
+    """Cell index in [0, n-2] and fraction in [0, 1] of coordinates t on the
+    uniform axis lo + k*h, k = 0..n-1, after the snap and the clamp."""
+    t = (t - lo) / h
+    # snap queries that are a rounding error away from a node onto it
+    nearest = np.rint(t)
+    snap = np.abs(t - nearest) < 1e-9
+    t[snap] = nearest[snap]
+    np.clip(t, 0.0, n - 1.0, out=t)
+    i = np.minimum(t.astype(np.int64), n - 2)
+    return i, t - i
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Values of one time level on the grid.  Snapshots are immutable."""
@@ -128,32 +141,37 @@ class GridFunction:
         object.__setattr__(self, "values", v)
 
     def interp(self, points) -> np.ndarray:
-        """Piecewise-linear interpolation with clamp-constant extrapolation.
+        """Piecewise-(multi)linear interpolation with clamp-constant extrapolation.
 
-        The grid is uniform per axis, so the cell index is computed directly;
-        the convex-combination form ``v[i] + frac * (v[i+1] - v[i])`` cannot
-        overshoot the surrounding node values.
+        The grid is uniform per axis, so each query's cell index and fraction
+        are computed directly (queries within 1e-9 cells of a node snap onto
+        it; queries outside the box clamp to its face).  In d = 1 the value is
+        ``v[i] + frac * (v[i+1] - v[i])``; in d > 1 the 2^d cell corners are
+        reduced by the same convex two-tap form one axis at a time, so no
+        result can overshoot the surrounding node values.
         """
         cfg = self.config
+        v = self.values
         if cfg.d == 1:
             pts = np.atleast_1d(np.asarray(points, dtype=float))
-            n = cfg.grid_n[0]
-            t = (pts - cfg.grid_lo[0]) / cfg.spacing[0]
-            # snap queries that are a rounding error away from a node onto it
-            nearest = np.rint(t)
-            snap = np.abs(t - nearest) < 1e-9
-            t[snap] = nearest[snap]
-            np.clip(t, 0.0, n - 1.0, out=t)
-            i = np.minimum(t.astype(np.int64), n - 2)
-            frac = t - i
-            v = self.values
+            i, frac = _cell(pts, cfg.grid_lo[0], cfg.spacing[0], cfg.grid_n[0])
             return v[i] + frac * (v[i + 1] - v[i])
-        from scipy.interpolate import RegularGridInterpolator
-
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        clipped = np.clip(pts, np.array(cfg.grid_lo), np.array(cfg.grid_hi))
-        itp = RegularGridInterpolator(cfg.axes, self.values, method="linear")
-        return itp(clipped)
+        base = np.zeros(pts.shape[0], dtype=np.int64)
+        offsets = np.zeros(1, dtype=np.int64)
+        fracs = []
+        for axis in range(cfg.d):
+            stride = math.prod(cfg.grid_n[axis + 1:])
+            i, frac = _cell(pts[:, axis], cfg.grid_lo[axis], cfg.spacing[axis], cfg.grid_n[axis])
+            base += i * stride
+            fracs.append(frac)
+            # corner offsets in C order: the last axis varies fastest
+            offsets = (offsets[:, None] + np.array([0, stride])).ravel()
+        corners = v.ravel()[base[None, :] + offsets[:, None]]
+        for frac in reversed(fracs):
+            lo, hi = corners[0::2], corners[1::2]
+            corners = lo + frac * (hi - lo)
+        return corners[0]
 
     def min_value(self) -> float:
         return float(np.min(self.values))

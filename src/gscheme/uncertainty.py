@@ -48,7 +48,9 @@ class DiscreteMeasure:
 
     Weights are renormalized at construction when they sum to 1 within
     ``WEIGHT_TOL``; anything further off is left untouched so that
-    :func:`validate` can report it.
+    :func:`validate` can report it.  Renormalized weights sum to exactly 1
+    (the largest absorbs the rounding residual), so constructing a measure
+    from another's weights, as a text round trip does, changes nothing.
     """
 
     atoms: tuple[Atom, ...]
@@ -57,7 +59,14 @@ class DiscreteMeasure:
         atoms = tuple(a if isinstance(a, Atom) else Atom(*a) for a in self.atoms)
         s = math.fsum(a.p for a in atoms)
         if atoms and abs(s - 1.0) <= WEIGHT_TOL and s != 1.0:
-            atoms = tuple(Atom(a.x, a.y, a.p / s) for a in atoms)
+            ps = [a.p / s for a in atoms]
+            big = max(range(len(ps)), key=ps.__getitem__)
+            for _ in range(4):
+                residual = 1.0 - math.fsum(ps)
+                if residual == 0.0:
+                    break
+                ps[big] += residual
+            atoms = tuple(Atom(a.x, a.y, p) for a, p in zip(atoms, ps))
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -278,4 +287,8 @@ def save_measures(u: UncertaintySet, path) -> None:
 
 def load_measures(path) -> UncertaintySet:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ArgumentError(f"measure file {path} is not UTF-8 text: {exc}") from exc
+    return from_text(text)

@@ -22,7 +22,7 @@ def report(num, label, ok, detail):
 
 def test_criterion_1_axiom_suite():
     t0 = time.time()
-    worst, per_axiom = gs.axiom_suite(n_trials=200, seed=0, tol=1e-12)
+    worst, per_axiom = gs.axiom_suite(n_trials=200, seed=0)
     elapsed = time.time() - t0
     ok = worst <= 1e-12 and elapsed < 10.0
     report(1, "axiom suite", ok,

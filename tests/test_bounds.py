@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gscheme as gs
-from gscheme.bounds import mollifier_mass
+from gscheme.bounds import _bump_derivative, _bump_masses, mollifier_mass
 
 
 def zero_moments(**overrides):
@@ -56,16 +56,20 @@ class TestMollifierConstant:
         assert gs.compute_c_rho() < 1e3 * math.exp(-1.0)
 
     def test_frozen_value(self):
-        # regression pin computed at rel_tol 1e-9; quadrature at 1e-6 must agree
-        assert gs.compute_c_rho() == pytest.approx(145.585835, rel=1e-5)
+        # regression pin; adaptive quadrature at rel_tol 1e-9 gives 145.58578146370
+        assert gs.compute_c_rho() == pytest.approx(145.5857814633, rel=1e-9)
 
     def test_mass_is_one(self):
         assert mollifier_mass() == pytest.approx(1.0, abs=1e-8)
 
-    def test_stable_under_refinement(self):
-        coarse = gs.compute_c_rho(rel_tol=1e-6)
-        fine = gs.compute_c_rho(rel_tol=1e-9)
-        assert abs(coarse - fine) / fine < 1e-4
+    def test_masses_match_independent_quadrature(self):
+        from scipy.integrate import quad
+
+        exact = _bump_masses()
+        for k in range(4):
+            val, _ = quad(lambda x: abs(_bump_derivative(x, k)), -1.0, 1.0,
+                          limit=400, epsrel=1e-10, epsabs=0.0)
+            assert exact[k] == pytest.approx(val, rel=1e-9), k
 
     def test_only_one_dimensional(self):
         with pytest.raises(gs.UnsupportedError):

@@ -22,8 +22,8 @@ class TestParsing:
             "--sigma-lo 0.1 --sigma-hi 0.3".split()
         )
         assert cfg.subcommand == "bounds"
-        assert cfg.options["cphi"] == 1.0
-        assert cfg.options["sigma_lo"] == 0.1
+        assert cfg.cphi == 1.0
+        assert cfg.sigma_lo == 0.1
 
     def test_clt_n_list(self):
         cfg = parse_args(
@@ -31,7 +31,7 @@ class TestParsing:
             "--sigma-lo 0.1 --sigma-hi 0.3".split()
         )
         assert cfg.subcommand == "clt"
-        assert cfg.options["n_list"] == "2,4,8,16"
+        assert cfg.n_list == "2,4,8,16"
 
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -160,6 +160,36 @@ def test_interp_clamps_and_matches_numpy(rng):
     assert g.interp(np.array([10.0]))[0] == vals[-1]
 
 
+@pytest.mark.parametrize("n", [(7, 9), (5, 4, 6)], ids=["2d", "3d"])
+def test_interp_multilinear_matches_regular_grid_interpolator(rng, n):
+    from scipy.interpolate import RegularGridInterpolator
+
+    d = len(n)
+    cfg = gs.SchemeConfig(delta=0.5, horizon=1.0, grid_lo=tuple(rng.uniform(-2.0, -1.0, d)),
+                          grid_hi=tuple(rng.uniform(1.0, 2.0, d)), grid_n=n)
+    vals = rng.normal(size=n)
+    g = gs.GridFunction(cfg, vals)
+    # queries inside, outside the box (clamped) and a rounding error off a node (snapped)
+    inside = rng.uniform(cfg.grid_lo, cfg.grid_hi, size=(300, d))
+    outside = rng.uniform(-4.0, 4.0, size=(300, d))
+    cells = np.stack([rng.integers(0, k, size=300) for k in n], axis=-1)
+    offset = rng.uniform(-0.9e-9, 0.9e-9, size=(300, d))
+    near = np.array(cfg.grid_lo) + (cells + offset) * np.array(cfg.spacing)
+    pts = np.concatenate([inside, outside, near])
+    # oracle: snap and clamp the queries, then scipy's multilinear interpolation
+    snapped = pts.copy()
+    for axis, ax in enumerate(cfg.axes):
+        t = (pts[:, axis] - cfg.grid_lo[axis]) / cfg.spacing[axis]
+        k = np.rint(t)
+        on_node = (np.abs(t - k) < 1e-9) & (k >= 0) & (k < ax.size)
+        snapped[on_node, axis] = ax[k[on_node].astype(int)]
+    snapped = np.clip(snapped, cfg.grid_lo, cfg.grid_hi)
+    expected = RegularGridInterpolator(cfg.axes, vals, method="linear")(snapped)
+    assert np.max(np.abs(g.interp(pts) - expected)) < 1e-13
+    far_corner = g.interp(np.full((1, d), 10.0))[0]
+    assert far_corner == pytest.approx(vals[(-1,) * d], abs=1e-14)
+
+
 def test_lattice_one_step_equals_sublinear_expect(rng):
     u = make_random_family(rng)
     phi = gs.builtin_phi("abs")

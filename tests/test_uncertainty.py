@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gscheme as gs
@@ -206,3 +206,76 @@ def test_from_text_rejects_malformed():
 def test_from_text_names_the_bad_line(text, where):
     with pytest.raises(gs.ArgumentError, match=where):
         gs.from_text(text)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_token = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "0.5", "1e308", "1e-320", "nan", "inf", "-0", "x",
+                     "=", "d=1", "measures=1", "1_0", "#", "", "\x00", "٣"]),
+    _finite.map(repr),
+    st.text(max_size=6),
+)
+_line = st.lists(_token, max_size=7).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.one_of(
+        st.tuples(st.integers(-1, 3), st.integers(-1, 3)).map(lambda t: f"d={t[0]} measures={t[1]}"),
+        _line,
+    ),
+    body=st.lists(_line, max_size=6),
+    noise=st.text(max_size=40),
+)
+def test_from_text_fuzz_raises_only_gscheme_errors(header, body, noise):
+    for text in ("\n".join([header, *body]), noise, header + "\n" + noise):
+        try:
+            u = gs.from_text(text)
+        except gs.GschemeError:
+            continue
+        assert isinstance(u, gs.UncertaintySet)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.binary(max_size=200))
+@example(data=b"\x80")  # not UTF-8
+def test_load_measures_fuzz_raises_only_gscheme_errors(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-family.txt"
+    path.write_bytes(data)
+    try:
+        gs.load_measures(path)
+    except gs.GschemeError:
+        pass
+
+
+@st.composite
+def _families(draw):
+    d = draw(st.integers(1, 3))
+    measures = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 4))
+        vec = st.lists(_finite, min_size=d, max_size=d)
+        raw = draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k))
+        weights = [w / math.fsum(raw) for w in raw]
+        measures.append(gs.DiscreteMeasure(tuple(
+            gs.Atom(draw(vec), draw(vec), w) for w in weights)))
+    return gs.UncertaintySet(tuple(measures), d=d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=_families())
+# weights whose renormalized sum is not exactly 1 (renormalized again on reading)
+@example(u=gs.UncertaintySet((gs.DiscreteMeasure(tuple(
+    gs.Atom([0.0], [0.0], p) for p in (0.0007716386855731596, 0.06715433970647779,
+                                       0.3171376197660688, 0.6149364018418804))),), d=1))
+def test_to_text_round_trip_fuzz(u):
+    text = gs.to_text(u)
+    back = gs.from_text(text)
+    assert gs.to_text(back) == text
+    assert back.d == u.d and len(back.measures) == len(u.measures)
+    for m1, m2 in zip(u.measures, back.measures):
+        assert len(m1.atoms) == len(m2.atoms)
+        for a1, a2 in zip(m1.atoms, m2.atoms):
+            assert np.array_equal(a1.x, a2.x)
+            assert np.array_equal(a1.y, a2.y)
+            assert a1.p == a2.p
