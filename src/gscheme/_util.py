@@ -1,35 +1,6 @@
-"""Small shared helpers: worker-thread control and float formatting."""
+"""Small shared helpers: float formatting."""
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV = "GSCHEME_THREADS"
-
-
-def worker_count(n_tasks: int) -> int:
-    """Workers to use for independent tasks, capped by GSCHEME_THREADS (0 = auto)."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 1
-    if cap < 0:
-        cap = 1
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
-
-
-def parallel_map(fn, items):
-    """Order-preserving map over independent tasks; serial unless threads allowed."""
-    items = list(items)
-    n = worker_count(len(items))
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def fmt17(x: float) -> str:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, PreconditionError
-from .scheme import SchemeSolution, forward_values
+from .scheme import GridStencil, SchemeSolution
 from .uncertainty import Atom, DiscreteMeasure, UncertaintySet, sublinear_expect
 
 SLOPE_SLACK = 0.15
@@ -83,12 +83,10 @@ def _as_step_values(h, solution: SchemeSolution, first: int, last: int):
     return out
 
 
-def _residual_series(solution: SchemeSolution, n: int) -> np.ndarray:
+def _residual_series(solution: SchemeSolution, step: GridStencil, n: int) -> np.ndarray:
     """Nodewise scheme residual of a solution at step n against step n-1."""
-    cfg = solution.config
-    sv = forward_values(solution.family, cfg, solution.steps[n - 1], cfg.nodes())
-    sv = sv.reshape(solution.steps[n].values.shape)
-    return (solution.steps[n].values - sv) / cfg.delta
+    prev = solution.steps[n - 1].values
+    return (solution.steps[n].values - step(prev, np.empty_like(prev))) / solution.config.delta
 
 
 def check_comparison(
@@ -109,6 +107,8 @@ def check_comparison(
     """
     if under.config != over.config:
         raise ArgumentError("both solutions must share one grid configuration")
+    if under.first_step or over.first_step:
+        raise ArgumentError("the comparison check needs every level; solve with keep='all'")
     n_last = min(under.n_steps, over.n_steps)
     if n_last < 1:
         raise ArgumentError("solutions must contain at least one step")
@@ -116,13 +116,15 @@ def check_comparison(
     interior = range(2, n_last + 1)
     h1s = _as_step_values(h1, under, 2, n_last)
     h2s = _as_step_values(h2, over, 2, n_last)
+    under_step = GridStencil(under.family, under.config)
+    over_step = GridStencil(over.family, over.config)
     for i, n in enumerate(interior):
-        r_under = _residual_series(under, n)
+        r_under = _residual_series(under, under_step, n)
         if np.max(r_under - h1s[i]) > precondition_tol:
             raise PreconditionError(
                 f"under-solution residual exceeds h1 at step {n} by {np.max(r_under - h1s[i]):.3e}"
             )
-        r_over = _residual_series(over, n)
+        r_over = _residual_series(over, over_step, n)
         if np.min(r_over - h2s[i]) < -precondition_tol:
             raise PreconditionError(
                 f"over-solution residual undercuts h2 at step {n} by {-np.min(r_over - h2s[i]):.3e}"

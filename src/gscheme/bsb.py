@@ -13,15 +13,21 @@ and the degenerate backend runs it exactly on the recombining tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import parallel_map
 from .analysis import ExperimentResult, ExperimentRow, fit_rate
 from .errors import ArgumentError
 from .families import bsb_family, sigma_grid
-from .scheme import GridFunction, InitialData, SchemeConfig
+from .scheme import (
+    GridFunction,
+    InitialData,
+    SchemeConfig,
+    SchemeSolution,
+    forward_operator,
+    solve_grid,
+)
 from .uncertainty import UncertaintySet
 
 SAFETY_WIDTH = 4.0
@@ -152,30 +158,9 @@ def bsb_transform(spec: BsbSpec, s0: float):
     return x0, phi, inverse
 
 
-def _sigma_moves(spec: BsbSpec, delta: float):
-    moves = []
-    for s in spec.sigmas:
-        drift = (spec.r - 0.5 * s * s) * delta
-        step = s * math.sqrt(delta)
-        moves.append((drift + step, drift - step))
-    return moves
-
-
 def bsb_step(spec: BsbSpec, v_prev: GridFunction) -> GridFunction:
-    """One backward step: nodewise sup over the sigma grid of two-point averages.
-
-    Independent of the generic forward operator on purpose; the two paths are
-    cross-checked in the tests.
-    """
-    cfg = v_prev.config
-    if cfg.d != 1:
-        raise ArgumentError("pricing runs in one spatial dimension")
-    nodes = cfg.axes[0]
-    best = None
-    for up, dn in _sigma_moves(spec, cfg.delta):
-        avg = 0.5 * (v_prev.interp(nodes + up) + v_prev.interp(nodes + dn))
-        best = avg if best is None else np.maximum(best, avg)
-    return GridFunction(cfg, best, time_stamp=v_prev.time_stamp + cfg.delta)
+    """One backward step: nodewise sup over the sigma grid of two-point averages."""
+    return forward_operator(spec.uncertainty_set(), v_prev.config, v_prev)
 
 
 def default_grid(spec: BsbSpec, s0: float, h: float) -> SchemeConfig:
@@ -221,6 +206,15 @@ def aligned_spacing(spec: BsbSpec, delta: float, cells_per_step: int = 4) -> flo
     return spec.sigma_lo * math.sqrt(delta) / cells_per_step
 
 
+def _grid_solution(spec: BsbSpec, s0: float, h: float | None = None,
+                   keep: str = "last") -> SchemeSolution:
+    """The grid solve behind a price: the band family on ``default_grid``."""
+    _x0, phi, _inverse = bsb_transform(spec, s0)
+    if h is None:
+        h = aligned_spacing(spec, spec.delta)
+    return solve_grid(spec.uncertainty_set(), default_grid(spec, s0, h), phi, keep=keep)
+
+
 def bsb_price(
     spec: BsbSpec,
     s0: float,
@@ -233,7 +227,9 @@ def bsb_price(
     ``backend='auto'`` uses the exact recombining tree when the volatility band
     is degenerate and the interpolating grid otherwise; 'exact' and 'grid'
     force a backend.  ``h`` overrides the grid spacing (default: aligned to
-    the volatility displacements).
+    the volatility displacements).  The grid solve holds only the running
+    level; ``return_solution=True`` keeps every level and returns
+    (undiscounted value, list of every level's ``GridFunction``).
     """
     if backend not in ("auto", "exact", "grid"):
         raise ArgumentError(f"unknown backend {backend!r}")
@@ -244,30 +240,11 @@ def bsb_price(
         value = _exact_binomial_value(spec, x0, phi)
         return (value, None) if return_solution else inverse(value)
 
-    if h is None:
-        h = aligned_spacing(spec, spec.delta)
-    cfg = default_grid(spec, s0, h)
-    nodes = cfg.axes[0]
-    level = GridFunction(cfg, phi(nodes), time_stamp=0.0)
-    steps = [level]
-    n_steps = int(math.floor(spec.horizon / spec.delta + 1e-9))
-    for _ in range(n_steps):
-        level = bsb_step(spec, level)
-        steps.append(level)
-    value = float(level.interp(np.array([x0]))[0])
+    sol = _grid_solution(spec, s0, h, keep="all" if return_solution else "last")
+    value = sol.value_at(spec.horizon, x0)
     if return_solution:
-        return value, steps
+        return value, sol.steps
     return inverse(value)
-
-
-def _price_curve(spec: BsbSpec, s0: float, query_x: np.ndarray) -> np.ndarray:
-    """Discounted terminal values on a band of log-price query points."""
-    _x0, phi, _inv = bsb_transform(spec, s0)
-    cfg = default_grid(spec, s0, aligned_spacing(spec, spec.delta))
-    level = GridFunction(cfg, phi(cfg.axes[0]))
-    for _ in range(int(math.floor(spec.horizon / spec.delta + 1e-9))):
-        level = bsb_step(spec, level)
-    return level.interp(query_x) * math.exp(-spec.r * spec.horizon)
 
 
 def richardson_reference_curve(
@@ -280,14 +257,12 @@ def richardson_reference_curve(
     pointwise extrapolation is too fragile near payoff kinks.  Returns
     (curve, accuracy estimate, warning flag).
     """
-    curves = []
-    for mult in (4.0, 2.0, 1.0):
-        sub = BsbSpec(
-            spec.r, spec.sigma_lo, spec.sigma_hi, spec.horizon, spec.payoff,
-            n_sigma=spec.n_sigma, delta=mult * delta_fine,
-        )
-        curves.append(_price_curve(sub, s0, query_x))
-    v4, v2, v1 = curves
+    discount = math.exp(-spec.r * spec.horizon)
+    v4, v2, v1 = (
+        _grid_solution(replace(spec, delta=mult * delta_fine), s0).steps[-1].interp(query_x)
+        * discount
+        for mult in (4.0, 2.0, 1.0)
+    )
     d1 = float(np.max(np.abs(v2 - v4)))
     d2 = float(np.max(np.abs(v1 - v2)))
     scale = max(float(np.max(np.abs(v1))), 1.0)
@@ -326,16 +301,14 @@ def bsb_rate_experiment(
     ref_curve, ref_acc, _warn = richardson_reference_curve(
         spec, s0, query_x, deltas[-1] / reference_refinement
     )
-
-    def one(d):
-        sub = BsbSpec(
-            spec.r, spec.sigma_lo, spec.sigma_hi, spec.horizon, spec.payoff,
-            n_sigma=spec.n_sigma, delta=d,
-        )
-        return _price_curve(sub, s0, query_x)
-
-    curves = parallel_map(one, deltas)
-    errors = [float(np.max(np.abs(c - ref_curve))) for c in curves]
+    discount = math.exp(-spec.r * spec.horizon)
+    errors = [
+        float(np.max(np.abs(
+            _grid_solution(replace(spec, delta=d), s0).steps[-1].interp(query_x) * discount
+            - ref_curve
+        )))
+        for d in deltas
+    ]
     fit = fit_rate(list(zip(deltas, errors)), target=target_slope, slack=slack, label="bsb-rate")
     monotone = all(errors[i + 1] <= errors[i] for i in range(len(errors) - 1))
     rows = tuple(ExperimentRow(d, e) for d, e in zip(deltas, errors))

@@ -23,7 +23,7 @@ from .bounds import (
     gaussian_bump,
     sine,
 )
-from .bsb import BsbSpec, bsb_price, make_payoff
+from .bsb import BsbSpec, bsb_price, bsb_transform, make_payoff
 from .clt import clt_experiment, lln_experiment
 from .errors import GschemeError
 from .families import builtin_family, builtin_phi
@@ -34,7 +34,7 @@ from .oracles import (
     fine_grid_reference,
     maximal_sup,
 )
-from .scheme import SchemeConfig, solve_grid
+from .scheme import SchemeConfig, SchemeSolution, solve_grid
 from .uncertainty import load_measures, validate
 
 SUBCOMMANDS = ("gheat", "clt", "lln", "bsb", "bounds", "consistency", "oracle")
@@ -240,7 +240,7 @@ def _run(ns: argparse.Namespace) -> int:
         cfg_g = SchemeConfig(delta=ns.delta, horizon=ns.T,
                              grid_lo=(ns.x_eval - half,), grid_hi=(ns.x_eval + half,),
                              grid_n=(ns.grid_n,))
-        sol = solve_grid(u, cfg_g, phi)
+        sol = solve_grid(u, cfg_g, phi, keep="all" if ns.dump_steps else "last")
         value = sol.value_at(ns.T, ns.x_eval)
         if ns.dump_steps:
             sol.dump_csv(ns.dump_steps)
@@ -282,15 +282,11 @@ def _run(ns: argparse.Namespace) -> int:
                        n_sigma=ns.nsigma, delta=ns.delta)
         if ns.dump_steps:
             value, steps = bsb_price(spec, ns.s0, backend="grid", return_solution=True)
-            price = value * np.exp(-spec.r * spec.horizon)
-            cfg_g = steps[0].config
-            with open(ns.dump_steps, "w", encoding="utf-8") as fh:
-                fh.write("t,x_1,value\n")
-                xs = cfg_g.axes[0]
-                for n, step in enumerate(steps):
-                    t = n * cfg_g.delta
-                    for x, v in zip(xs, step.values):
-                        fh.write(f"{fmt17(t)},{fmt17(x)},{fmt17(v)}\n")
+            _x0, phi, inverse = bsb_transform(spec, ns.s0)
+            price = inverse(value)
+            SchemeSolution(steps[0].config, spec.uncertainty_set(), phi, steps).dump_csv(
+                ns.dump_steps
+            )
         else:
             price = bsb_price(spec, ns.s0, backend=ns.backend)
         print(f"price = {fmt17(price)}")

@@ -13,7 +13,6 @@ import warnings
 
 import numpy as np
 
-from ._util import parallel_map
 from .analysis import ExperimentResult, ExperimentRow, fit_rate
 from .errors import ArgumentError, ConfigurationError, ResourceLimitError
 from .oracles import ReferenceSolution, ThetaSet, maximal_sup
@@ -69,7 +68,7 @@ def clt_functional(
     n_grid = int(round(2 * halfwidth / h)) + 1
     cfg = SchemeConfig(delta=delta, horizon=1.0, grid_lo=(-halfwidth,), grid_hi=(halfwidth,),
                        grid_n=(n_grid,))
-    return solve_grid(u, cfg, phi).value_at(1.0, 0.0)
+    return solve_grid(u, cfg, phi, keep="last").value_at(1.0, 0.0)
 
 
 def _check_component_zero(u: UncertaintySet, component: str) -> None:
@@ -112,10 +111,7 @@ def lln_experiment(
         functional = phi
         reference = maximal_sup(theta, phi)
 
-    def one(n):
-        return clt_functional(u, n, functional)
-
-    values = parallel_map(one, n_list)
+    values = [clt_functional(u, n, functional) for n in n_list]
     errors = [abs(v - reference) for v in values]
     c_measured = errors[0] * math.sqrt(n_list[0])
     rows = tuple(
@@ -159,10 +155,7 @@ def clt_experiment(
     if len(n_list) < 3:
         raise ArgumentError("need at least 3 values of n")
 
-    def one(n):
-        return clt_functional(u, n, phi)
-
-    values = parallel_map(one, n_list)
+    values = [clt_functional(u, n, phi) for n in n_list]
     errors = [abs(v - ref_value) for v in values]
     rows = tuple(
         ExperimentRow(float(n), e, c_explicit * n ** (-beta / 6.0))

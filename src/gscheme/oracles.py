@@ -154,7 +154,7 @@ def fine_grid_reference(
                 delta=dlt, horizon=t_eval,
                 grid_lo=(x_eval - halfwidth,), grid_hi=(x_eval + halfwidth,), grid_n=(n_grid,),
             )
-            return solve_grid(u, cfg, phi).value_at(t_eval, x_eval)
+            return solve_grid(u, cfg, phi, keep="last").value_at(t_eval, x_eval)
 
         # interpolation leaves an O(h^2) bias per solve that grows with the
         # step count; a paired 2h solve extrapolates it away so the time-step

@@ -4,7 +4,12 @@ The core update is ``psi -> E-hat[ psi(x + sqrt(delta) X + delta Y) ]`` applied
 once per time step.  Two backends realize it:
 
 * a uniform spatial grid with monotone piecewise-linear interpolation and
-  clamp-constant extrapolation (general, scales to d <= 3), and
+  clamp-constant extrapolation (general, scales to d <= 3).  Every atom moves
+  every node by the same vector, so on the nodes the lookup is a fixed
+  2^d-tap stencil (``GridStencil``) whose cell offset and fraction are
+  computed once per atom and solve, applied as whole-array slices; off-grid
+  queries go through ``GridFunction.interp``.  ``solve_grid(keep='last')``
+  streams the levels through two arrays; and
 * an exact recombining lattice whose nodes are the distinct reachable
   positions (interpolation-free; displacements that are whole multiples of
   one quantum give one integer interval of nodes per level).
@@ -111,16 +116,53 @@ class SchemeConfig:
 
 
 def _cell(t: np.ndarray, lo: float, h: float, n: int):
-    """Cell index in [0, n-2] and fraction in [0, 1] of coordinates t on the
-    uniform axis lo + k*h, k = 0..n-1, after the snap and the clamp."""
+    """Node index in [0, n-1] and fraction in [0, 1) of coordinates t on the
+    uniform axis lo + k*h, k = 0..n-1, after the snap and the clamp.  A query
+    at or beyond the upper face gets index n-1 and fraction 0."""
     t = (t - lo) / h
     # snap queries that are a rounding error away from a node onto it
     nearest = np.rint(t)
     snap = np.abs(t - nearest) < 1e-9
     t[snap] = nearest[snap]
     np.clip(t, 0.0, n - 1.0, out=t)
-    i = np.minimum(t.astype(np.int64), n - 2)
+    i = t.astype(np.int64)
     return i, t - i
+
+
+def _offset(s: float, h: float) -> tuple[int, float]:
+    """Whole cells k and fraction f in [0, 1) of a shift s on an axis of
+    spacing h, with the snap of ``_cell``."""
+    t = s / h
+    nearest = round(t)
+    if abs(t - nearest) < 1e-9:
+        t = float(nearest)
+    k = math.floor(t)
+    return k, t - k
+
+
+def _shift_axis(v: np.ndarray, axis: int, k: int, f: float, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the values of ``v`` at index i + k + f along ``axis``:
+    ``v[i+k] + f*(v[i+k+1] - v[i+k])`` where that lies in the box, the face
+    value beyond either face (clamp-constant)."""
+    n = v.shape[axis]
+    # nodes i in [lo, hi) look up inside [0, n-1]; below lo the query is
+    # under the lower face, from hi on it is past the upper face
+    lo = min(max(-k, 0), n)
+    hi = max(min(n - k - (f > 0), n), lo)
+    pre = (slice(None),) * axis
+    dst = out[pre + (slice(lo, hi),)]
+    a = v[pre + (slice(lo + k, hi + k),)]
+    if f > 0:
+        np.subtract(v[pre + (slice(lo + k + 1, hi + k + 1),)], a, out=dst)
+        dst *= f
+        dst += a
+    else:
+        dst[...] = a
+    if lo:
+        out[pre + (slice(0, lo),)] = v[pre + (slice(0, 1),)]
+    if hi < n:
+        out[pre + (slice(hi, n),)] = v[pre + (slice(n - 1, n),)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -140,34 +182,51 @@ class GridFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _adopt(cls, config: SchemeConfig, values: np.ndarray, time_stamp: float) -> GridFunction:
+        """Wrap a freshly computed array of the grid's shape without copying it;
+        the caller must hold no other reference that writes to it."""
+        obj = object.__new__(cls)
+        values.setflags(write=False)
+        object.__setattr__(obj, "config", config)
+        object.__setattr__(obj, "values", values)
+        object.__setattr__(obj, "time_stamp", time_stamp)
+        return obj
+
     def interp(self, points) -> np.ndarray:
         """Piecewise-(multi)linear interpolation with clamp-constant extrapolation.
 
         The grid is uniform per axis, so each query's cell index and fraction
         are computed directly (queries within 1e-9 cells of a node snap onto
-        it; queries outside the box clamp to its face).  In d = 1 the value is
+        it; queries outside the box clamp to its face and return the face
+        node's value exactly).  In d = 1 the value is
         ``v[i] + frac * (v[i+1] - v[i])``; in d > 1 the 2^d cell corners are
-        reduced by the same convex two-tap form one axis at a time, so no
-        result can overshoot the surrounding node values.
+        reduced by the same convex two-tap form one axis at a time, last axis
+        first, so no result can overshoot the surrounding node values.  On
+        the grid's own nodes ``GridStencil`` does the same lookup by slices.
         """
         cfg = self.config
         v = self.values
         if cfg.d == 1:
+            n = cfg.grid_n[0]
             pts = np.atleast_1d(np.asarray(points, dtype=float))
-            i, frac = _cell(pts, cfg.grid_lo[0], cfg.spacing[0], cfg.grid_n[0])
-            return v[i] + frac * (v[i + 1] - v[i])
+            i, frac = _cell(pts, cfg.grid_lo[0], cfg.spacing[0], n)
+            lo = v[i]
+            return lo + frac * (v[np.minimum(i + 1, n - 1)] - lo)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        base = np.zeros(pts.shape[0], dtype=np.int64)
-        offsets = np.zeros(1, dtype=np.int64)
+        corners = np.zeros((1, pts.shape[0]), dtype=np.int64)
         fracs = []
         for axis in range(cfg.d):
+            n = cfg.grid_n[axis]
             stride = math.prod(cfg.grid_n[axis + 1:])
-            i, frac = _cell(pts[:, axis], cfg.grid_lo[axis], cfg.spacing[axis], cfg.grid_n[axis])
-            base += i * stride
+            i, frac = _cell(pts[:, axis], cfg.grid_lo[axis], cfg.spacing[axis], n)
+            corners = corners + i * stride
+            # the upper corner of a query on the upper face is the face node;
+            # corners in C order: the last axis varies fastest
+            step = np.where(i < n - 1, stride, 0)
+            corners = np.stack([corners, corners + step], axis=1).reshape(-1, pts.shape[0])
             fracs.append(frac)
-            # corner offsets in C order: the last axis varies fastest
-            offsets = (offsets[:, None] + np.array([0, stride])).ravel()
-        corners = v.ravel()[base[None, :] + offsets[:, None]]
+        corners = v.ravel()[corners]
         for frac in reversed(fracs):
             lo, hi = corners[0::2], corners[1::2]
             corners = lo + frac * (hi - lo)
@@ -211,12 +270,67 @@ def forward_values(u: UncertaintySet, cfg: SchemeConfig, prev: GridFunction, poi
     return best
 
 
+class GridStencil:
+    """The one-step operator on the nodes of a uniform grid.
+
+    An atom with shift s moves every node by s, so its lookup is the same
+    2^d-tap stencil at every node: per axis, k = floor(s/h) whole cells and a
+    fraction f (snapped as in ``GridFunction.interp``), computed once here.
+    Applying it takes whole-array slices ``v[i+k] + f*(v[i+k+1] - v[i+k])``
+    one axis at a time, last axis first; nodes whose query leaves the box
+    take the face value, which is the clamp-constant rule.  Each measure's
+    weighted lookups are summed and the family maximum taken nodewise.  The
+    operator owns its scratch arrays, so one instance serves one solve.
+    """
+
+    def __init__(self, u: UncertaintySet, cfg: SchemeConfig):
+        if u.d != cfg.d:
+            raise ArgumentError(f"family has d = {u.d} but the grid has d = {cfg.d}")
+        self.config = cfg
+        self.measures = [([self.taps(row) for row in shifts], ps)
+                         for shifts, ps in _shifts(u, cfg.delta)]
+        if not self.measures:
+            raise ConfigurationError("uncertainty set has no measures")
+        shape = cfg.grid_n if cfg.d > 1 else (cfg.grid_n[0],)
+        self._acc, self._look, self._spare = (np.empty(shape) for _ in range(3))
+
+    def taps(self, shift) -> tuple[tuple[int, float], ...]:
+        """Per axis, the whole cells k and fraction f of one shift vector."""
+        return tuple(_offset(float(c), h) for c, h in zip(shift, self.config.spacing))
+
+    def lookup(self, v: np.ndarray, taps) -> np.ndarray:
+        """Values of v at every node moved by one atom's (k, f) per axis.
+
+        Returns v itself for a zero shift, else one of the scratch arrays,
+        which the next call overwrites.
+        """
+        src = v
+        for axis in reversed(range(len(taps))):
+            k, f = taps[axis]
+            if k or f:
+                dst = self._look if src is not self._look else self._spare
+                src = _shift_axis(src, axis, k, f, dst)
+        return src
+
+    def __call__(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the one-step operator applied to level v into ``out``."""
+        for j, (taps, ps) in enumerate(self.measures):
+            acc = out if j == 0 else self._acc
+            for a, (tap, p) in enumerate(zip(taps, ps)):
+                look = self.lookup(v, tap)
+                if a == 0:
+                    np.multiply(look, p, out=acc)
+                else:
+                    acc += np.multiply(look, p, out=self._look)
+            if j:
+                np.maximum(out, acc, out=out)
+        return out
+
+
 def forward_operator(u: UncertaintySet, cfg: SchemeConfig, psi: GridFunction) -> GridFunction:
     """Apply the one-step operator on every grid node."""
-    out = forward_values(u, cfg, psi, cfg.nodes())
-    if cfg.d > 1:
-        out = out.reshape(cfg.grid_n)
-    return GridFunction(cfg, out, time_stamp=psi.time_stamp + cfg.delta)
+    out = GridStencil(u, cfg)(psi.values, np.empty_like(psi.values))
+    return GridFunction._adopt(cfg, out, psi.time_stamp + cfg.delta)
 
 
 def scheme_residual(u: UncertaintySet, cfg: SchemeConfig, x, p: float, v: GridFunction) -> float:
@@ -227,16 +341,21 @@ def scheme_residual(u: UncertaintySet, cfg: SchemeConfig, x, p: float, v: GridFu
 
 @dataclass
 class SchemeSolution:
-    """All time levels of one solve plus the piecewise-constant query rule."""
+    """The time levels one solve kept, plus the piecewise-constant query rule.
+
+    ``steps[j]`` is level ``first_step + j``: a solve with ``keep='all'``
+    holds every level from 0, one with ``keep='last'`` only the final one.
+    """
 
     config: SchemeConfig
     family: UncertaintySet
     phi: InitialData
     steps: list[GridFunction]
+    first_step: int = 0
 
     @property
     def n_steps(self) -> int:
-        return len(self.steps) - 1
+        return self.first_step + len(self.steps) - 1
 
     def step_index(self, t: float) -> int:
         """Index of the level governing time t: constant on [n*delta, (n+1)*delta)."""
@@ -246,19 +365,25 @@ class SchemeSolution:
         return min(n, self.n_steps)
 
     def at(self, t: float) -> GridFunction:
-        return self.steps[self.step_index(t)]
+        n = self.step_index(t)
+        if n < self.first_step:
+            raise ArgumentError(
+                f"level {n} was not kept (levels {self.first_step}..{self.n_steps} are); "
+                "solve with keep='all'"
+            )
+        return self.steps[n - self.first_step]
 
     def value_at(self, t: float, x) -> float:
         return float(self.at(t).interp(x)[0] if self.config.d == 1 else self.at(t).interp([x])[0])
 
     def dump_csv(self, path) -> None:
-        """Per-step rows ``t,x_1..x_d,value`` for every grid node."""
+        """Per-step rows ``t,x_1..x_d,value`` for every grid node of every kept level."""
         cfg = self.config
         cols = ",".join(f"x_{i+1}" for i in range(cfg.d))
         nodes = cfg.nodes()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"t,{cols},value\n")
-            for n, step in enumerate(self.steps):
+            for n, step in enumerate(self.steps, start=self.first_step):
                 t = n * cfg.delta
                 vals = step.values.ravel()
                 for i in range(vals.size):
@@ -269,12 +394,19 @@ class SchemeSolution:
                     fh.write(f"{format(t, '.17g')},{xrow},{format(vals[i], '.17g')}\n")
 
 
-def solve_grid(u: UncertaintySet, cfg: SchemeConfig, phi: InitialData) -> SchemeSolution:
+def solve_grid(
+    u: UncertaintySet, cfg: SchemeConfig, phi: InitialData, keep: str = "all"
+) -> SchemeSolution:
     """Run the recursion from phi for floor(horizon/delta) steps on the grid.
 
-    Requires a family without mean uncertainty in X; a trailing partial
-    interval is left frozen at the last completed level.
+    Every step is one application of ``GridStencil``.  ``keep='all'`` holds
+    every level; ``keep='last'`` alternates two preallocated arrays and keeps
+    only the final level, so the solve holds a fixed handful of levels
+    whatever its step count.  Requires a family without mean uncertainty in
+    X; a trailing partial interval is left frozen at the last completed level.
     """
+    if keep not in ("all", "last"):
+        raise ArgumentError(f"keep must be 'all' or 'last', got {keep!r}")
     report = validate(u)
     if not report.no_mean_uncertainty:
         raise ConfigurationError(
@@ -286,18 +418,31 @@ def solve_grid(u: UncertaintySet, cfg: SchemeConfig, phi: InitialData) -> Scheme
         vals = vals.reshape(cfg.grid_n)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("initial data evaluated non-finite on the grid")
-    if float(np.min(vals)) < phi.lower_bound - LOWER_BOUND_SLACK:
+    floor = phi.lower_bound - LOWER_BOUND_SLACK
+    if float(np.min(vals)) < floor:
         raise EvaluationError(
             f"initial data dips below its declared lower bound {phi.lower_bound}"
         )
-    steps = [GridFunction(cfg, vals, time_stamp=0.0)]
+    first = GridFunction(cfg, vals, time_stamp=0.0)
+    step = GridStencil(u, cfg)
     n_steps = int(math.floor(cfg.horizon / cfg.delta + 1e-9))
-    for _ in range(n_steps):
-        nxt = forward_operator(u, cfg, steps[-1])
-        if nxt.min_value() < phi.lower_bound - LOWER_BOUND_SLACK:
+
+    def checked(level):
+        if float(np.min(level)) < floor:
             raise EvaluationError("solver output violated the lower bound of the initial data")
-        steps.append(nxt)
-    return SchemeSolution(cfg, u, phi, steps)
+        return level
+
+    if keep == "all":
+        steps = [first]
+        for n in range(1, n_steps + 1):
+            out = checked(step(steps[-1].values, np.empty_like(first.values)))
+            steps.append(GridFunction._adopt(cfg, out, n * cfg.delta))
+        return SchemeSolution(cfg, u, phi, steps)
+    cur, nxt = first.values.copy(), np.empty_like(first.values)
+    for _ in range(n_steps):
+        cur, nxt = checked(step(cur, nxt)), cur
+    last = GridFunction._adopt(cfg, cur, n_steps * cfg.delta)
+    return SchemeSolution(cfg, u, phi, [last], first_step=n_steps)
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,16 @@ class TestSubcommands:
         lines = dump.read_text().splitlines()
         assert lines[0] == "t,x_1,value"
         assert len(lines) > 5
+        # the same rows, built from the levels the pricer returns
+        spec = gs.BsbSpec(0.05, 0.1, 0.3, 1.0, gs.make_payoff("put", 1.0), n_sigma=3,
+                          delta=0.25)
+        _value, levels = gs.bsb_price(spec, 1.0, backend="grid", return_solution=True)
+        xs = levels[0].config.axes[0]
+        expected = ["t,x_1,value"] + [
+            f"{n * 0.25:.17g},{x:.17g},{v:.17g}"
+            for n, level in enumerate(levels) for x, v in zip(xs, level.values)
+        ]
+        assert lines == expected
 
     def test_consistency_subcommand(self):
         code, out, _ = run_cli(
@@ -239,21 +249,3 @@ def test_failed_check_exits_3(tmp_path):
         ])
         assert rc == 3
 
-
-def test_worker_count_env(monkeypatch):
-    from gscheme._util import worker_count
-
-    monkeypatch.delenv("GSCHEME_THREADS", raising=False)
-    assert worker_count(8) == 1  # serial by default
-    monkeypatch.setenv("GSCHEME_THREADS", "4")
-    assert worker_count(8) == 4
-    assert worker_count(2) == 2  # capped by the task count
-    monkeypatch.setenv("GSCHEME_THREADS", "0")
-    assert worker_count(64) >= 1  # auto
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    from gscheme._util import parallel_map
-
-    monkeypatch.setenv("GSCHEME_THREADS", "4")
-    assert parallel_map(lambda x: x * x, range(10)) == [x * x for x in range(10)]

@@ -190,6 +190,114 @@ def test_interp_multilinear_matches_regular_grid_interpolator(rng, n):
     assert far_corner == pytest.approx(vals[(-1,) * d], abs=1e-14)
 
 
+def random_grid(rng, d, n=(41, 9, 7)):
+    return gs.SchemeConfig(delta=0.5, horizon=1.0, grid_lo=tuple(rng.uniform(-2.0, -1.0, d)),
+                           grid_hi=tuple(rng.uniform(1.0, 2.0, d)), grid_n=n[:d])
+
+
+def interp_on_nodes(g, shift):
+    """The lookup of every node moved by shift, done by off-grid interpolation."""
+    cfg = g.config
+    pts = cfg.nodes() + (shift[0] if cfg.d == 1 else shift)
+    return g.interp(pts).reshape(g.values.shape)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_interp_face_queries_return_face_values_exactly(rng, d):
+    cfg = random_grid(rng, d)
+    for _ in range(20):
+        g = gs.GridFunction(cfg, rng.normal(size=cfg.grid_n))
+        v = g.values
+        idx = [int(rng.integers(0, k)) for k in cfg.grid_n]
+        for axis in range(d):
+            for beyond, face in ((cfg.grid_lo[axis] - 0.7, 0), (cfg.grid_hi[axis] + 0.7, -1)):
+                pt = np.array([ax[i] for ax, i in zip(cfg.axes, idx)])
+                pt[axis] = beyond
+                at = list(idx)
+                at[axis] = face
+                got = g.interp(pt if d == 1 else pt[None, :])[0]
+                assert got == v[tuple(at)]
+        for corner in ((0,) * d, (-1,) * d):
+            far = np.where(np.array(corner) == 0, -10.0, 10.0)
+            assert g.interp(far if d == 1 else far[None, :])[0] == v[corner]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stencil_matches_interp(rng, d):
+    from gscheme.scheme import GridStencil
+
+    cfg = random_grid(rng, d)
+    g = gs.GridFunction(cfg, rng.normal(size=cfg.grid_n))
+    h = np.array(cfg.spacing)
+    width = np.array(cfg.grid_hi) - np.array(cfg.grid_lo)
+    stencil = GridStencil(gs.zero_family(d), cfg)
+    scale = float(np.max(np.abs(g.values)))
+
+    def lookup(shift):
+        return stencil.lookup(g.values, stencil.taps(shift))
+
+    # zero shift: the level itself, bitwise
+    assert np.array_equal(lookup(np.zeros(d)), g.values)
+    shifts = [rng.uniform(-0.8, 0.8, d) * width for _ in range(30)]
+    # whole multiples of the spacing, a rounding error off (the snap)
+    for _ in range(30):
+        cells = rng.integers(-cfg.grid_n[0], cfg.grid_n[0], d)
+        shifts.append((cells + rng.choice([-1e-10, 1e-10], d)) * h)
+    for shift in shifts:
+        assert np.max(np.abs(lookup(shift) - interp_on_nodes(g, shift))) <= 1e-12 * scale
+    # shifts wider than the box clamp every node to one corner, bitwise
+    for sign in rng.choice([-1.0, 1.0], size=(8, d)):
+        shift = sign * width * rng.uniform(1.01, 3.0, d)
+        got = lookup(shift)
+        assert np.array_equal(got, interp_on_nodes(g, shift))
+        assert np.all(got == g.values[tuple(0 if c < 0 else -1 for c in sign)])
+    # in 1-D the nodes whose query leaves the box take the face value, bitwise
+    if d == 1:
+        for shift in shifts:
+            moved = cfg.axes[0] + shift[0]
+            out = (moved < cfg.grid_lo[0] - h[0]) | (moved > cfg.grid_hi[0] + h[0])
+            assert np.array_equal(lookup(shift)[out], interp_on_nodes(g, shift)[out])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_solve_grid_keep_last_matches_all(rng, d):
+    u = make_random_family(rng, d=d, zero_mean_x=True)
+    half = 4.0
+    cfg = gs.SchemeConfig(delta=0.125, horizon=1.0, grid_lo=(-half,) * d, grid_hi=(half,) * d,
+                          grid_n=(81, 21)[:d])
+    phi = gs.InitialData("norm", lambda p: np.sqrt(1.0 + np.sum(p.reshape(len(p), -1) ** 2, 1)),
+                         0.0, c_phi=1.0)
+    full = gs.solve_grid(u, cfg, phi)
+    last = gs.solve_grid(u, cfg, phi, keep="last")
+    assert len(full.steps) == 9 and len(last.steps) == 1
+    assert last.n_steps == full.n_steps == 8
+    assert np.array_equal(last.at(1.0).values, full.at(1.0).values)
+    assert last.value_at(1.0, 0.0 if d == 1 else [0.0] * d) == full.value_at(
+        1.0, 0.0 if d == 1 else [0.0] * d)
+    with pytest.raises(gs.ArgumentError, match="keep='all'"):
+        last.at(0.5)
+    with pytest.raises(gs.ArgumentError, match="keep='all'"):
+        gs.check_comparison(last, last)
+    with pytest.raises(gs.ArgumentError):
+        gs.solve_grid(u, cfg, phi, keep="some")
+
+
+def test_grid_reference_holds_a_few_levels():
+    import tracemalloc
+
+    u = gs.pm_sigma_family([0.1, 0.2, 0.3])  # six displacements: the grid route
+    phi = gs.builtin_phi("capped-relu")
+    tracemalloc.start()
+    try:
+        ref = gs.fine_grid_reference(u, phi, 1.0, 0.0, delta_ref=1.0 / 256.0)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ref.meta["backend"] == "grid"
+    level_bytes = 8 * (int(round(2 * ref.meta["halfwidth"] / ref.meta["h"])) + 1)
+    assert peak < 20 * level_bytes
+
+
 def test_lattice_one_step_equals_sublinear_expect(rng):
     u = make_random_family(rng)
     phi = gs.builtin_phi("abs")
