@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +68,39 @@ def fit_rate(pairs, target: float | None = None, slack: float = SLOPE_SLACK, bou
         slope, intercept = np.polyfit(logr, loge, 1)
         passed = True if target is None else bool(slope >= target - slack)
     return ExperimentResult(rows, float(slope), float(intercept), passed, label)
+
+
+class Richardson(NamedTuple):
+    """Extrapolated value, accuracy estimate, fitted order, non-contraction flag."""
+
+    value: float | np.ndarray
+    estimate: float
+    order: float
+    warning: bool
+
+
+def richardson(v4, v2, v1) -> Richardson:
+    """Extrapolate scalar or curve solves at time steps 4*delta, 2*delta, delta.
+
+    The sup norms of d1 = v2 - v4 and d2 = v1 - v2 fit gamma = log2(|d1|/|d2|),
+    and v1 + d2/(2^gamma - 1) is returned with the correction's sup norm as
+    estimate (at least 1e-14 of max(|v1|, 1); 1e-13 of it, order nan, when both
+    differences are below that).  If d2 = 0, |d2| >= |d1|, or d1 and d2 of
+    scalars differ in sign, v1 is returned with the warning set; curves get no
+    sign test, as their pointwise differences may mix signs while the sup norms
+    contract.
+    """
+    d1, d2 = v2 - v4, v1 - v2
+    a1, a2 = float(np.max(np.abs(d1))), float(np.max(np.abs(d2)))
+    scale = max(float(np.max(np.abs(v1))), 1.0)
+    if a1 <= 1e-14 * scale and a2 <= 1e-14 * scale:
+        return Richardson(v1, 1e-13 * scale, math.nan, False)
+    order = math.log2(a1 / a2) if a1 > 0 and a2 > 0 else math.nan
+    if a2 == 0 or a1 <= a2 or (np.ndim(d1) == 0 and (d1 > 0) != (d2 > 0)):
+        return Richardson(v1, 3.0 * max(a1, a2), order, True)
+    correction = d2 / (a1 / a2 - 1.0)
+    return Richardson(v1 + correction, max(float(np.max(np.abs(correction))), 1e-14 * scale),
+                      order, False)
 
 
 def _as_step_values(h, solution: SchemeSolution, first: int, last: int):

@@ -12,12 +12,13 @@ and the degenerate backend runs it exactly on the recombining tree.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import ExperimentResult, ExperimentRow, fit_rate
+from .analysis import ExperimentResult, ExperimentRow, Richardson, fit_rate, richardson
 from .errors import ArgumentError
 from .families import bsb_family, sigma_grid
 from .scheme import (
@@ -26,11 +27,12 @@ from .scheme import (
     SchemeConfig,
     SchemeSolution,
     forward_operator,
+    reachable_halfwidth,
     solve_grid,
 )
 from .uncertainty import UncertaintySet
 
-SAFETY_WIDTH = 4.0
+log = logging.getLogger("gscheme")
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,8 @@ class PutPayoff:
     strike: float
 
     def __post_init__(self):
-        if self.strike <= 0:
-            raise ArgumentError("strike must be positive")
+        if not (0 < self.strike < math.inf):
+            raise ArgumentError("strike must be positive and finite")
 
     name = "put"
 
@@ -63,8 +65,8 @@ class CappedCallPayoff:
     cap: float
 
     def __post_init__(self):
-        if self.strike <= 0 or self.cap <= 0:
-            raise ArgumentError("strike and cap must be positive")
+        if not (0 < self.strike < math.inf and 0 < self.cap < math.inf):
+            raise ArgumentError("strike and cap must be positive and finite")
 
     name = "capped-call"
 
@@ -110,14 +112,16 @@ class BsbSpec:
     delta: float = 1e-3
 
     def __post_init__(self):
-        if not (0 < self.sigma_lo <= self.sigma_hi):
-            raise ArgumentError("need 0 < sigma_lo <= sigma_hi")
+        if not math.isfinite(self.r):
+            raise ArgumentError(f"r must be finite, got {self.r}")
+        if not (0 < self.sigma_lo <= self.sigma_hi < math.inf):
+            raise ArgumentError("need 0 < sigma_lo <= sigma_hi < inf")
         if self.n_sigma < 1:
             raise ArgumentError("n_sigma must be at least 1")
         if self.n_sigma == 1 and self.sigma_lo != self.sigma_hi:
             raise ArgumentError("n_sigma = 1 requires sigma_lo = sigma_hi")
-        if self.horizon <= 0:
-            raise ArgumentError("horizon must be positive")
+        if not (0 < self.horizon < math.inf):
+            raise ArgumentError(f"horizon must be positive and finite, got {self.horizon}")
         if not (0 < self.delta <= 1):
             raise ArgumentError("delta must lie in (0, 1]")
 
@@ -140,8 +144,8 @@ def bsb_transform(spec: BsbSpec, s0: float):
     the exponential, and inverse mapping the terminal scheme value back to the
     option price via the accumulated discount.
     """
-    if s0 <= 0:
-        raise ArgumentError("s0 must be positive")
+    if not (0 < s0 < math.inf):
+        raise ArgumentError("s0 must be positive and finite")
     x0 = math.log(s0)
     payoff = spec.payoff
     phi = InitialData(
@@ -164,11 +168,9 @@ def bsb_step(spec: BsbSpec, v_prev: GridFunction) -> GridFunction:
 
 
 def default_grid(spec: BsbSpec, s0: float, h: float) -> SchemeConfig:
-    """Grid sized so the reachable cone of the evaluation point stays interior."""
+    """Grid centred on log s0, half-width ``reachable_halfwidth`` + 2h, spacing near (not at) h."""
     x0 = math.log(s0)
-    max_drift = max(abs(spec.r - 0.5 * s * s) for s in spec.sigmas)
-    halfwidth = spec.horizon * max_drift + math.sqrt(spec.horizon) * spec.sigma_hi * SAFETY_WIDTH
-    halfwidth += 2 * h
+    halfwidth = reachable_halfwidth(spec.uncertainty_set(), spec.horizon) + 2 * h
     n = int(round(2 * halfwidth / h)) + 1
     return SchemeConfig(
         delta=spec.delta,
@@ -197,11 +199,11 @@ def _exact_binomial_value(spec: BsbSpec, x0: float, phi: InitialData) -> float:
 
 
 def aligned_spacing(spec: BsbSpec, delta: float, cells_per_step: int = 4) -> float:
-    """Spacing that puts the smallest volatility displacement on exact cells.
+    """Spacing h that makes the smallest volatility move sigma_lo sqrt(delta) span exact cells.
 
-    With sigma ratios on a half-integer ladder (the uniform grids built here
-    have that for odd n_sigma), every volatility move then lands on grid
-    nodes, so the interpolation bias stops oscillating with the time step.
+    With sigma ratios on a half-integer ladder (odd n_sigma here), every sigma sqrt(delta)
+    is then a whole number of cells of h.  Moves still miss the nodes: ``default_grid``'s
+    spacing is only near h, and no move's drift delta (r - sigma^2/2) is whole cells.
     """
     return spec.sigma_lo * math.sqrt(delta) / cells_per_step
 
@@ -247,32 +249,19 @@ def bsb_price(
     return inverse(value)
 
 
+def _price_curve(spec: BsbSpec, s0: float, query_x: np.ndarray) -> np.ndarray:
+    """Discounted grid price at each log-price in query_x."""
+    return _grid_solution(spec, s0).steps[-1].interp(query_x) * math.exp(-spec.r * spec.horizon)
+
+
 def richardson_reference_curve(
     spec: BsbSpec, s0: float, query_x: np.ndarray, delta_fine: float
-):
-    """Reference price curve from solves at delta_fine, 2x and 4x.
-
-    A single convergence order is fitted from the sup norms of the two
-    refinement differences and the matching correction is applied pointwise;
-    pointwise extrapolation is too fragile near payoff kinks.  Returns
-    (curve, accuracy estimate, warning flag).
-    """
-    discount = math.exp(-spec.r * spec.horizon)
-    v4, v2, v1 = (
-        _grid_solution(replace(spec, delta=mult * delta_fine), s0).steps[-1].interp(query_x)
-        * discount
-        for mult in (4.0, 2.0, 1.0)
-    )
-    d1 = float(np.max(np.abs(v2 - v4)))
-    d2 = float(np.max(np.abs(v1 - v2)))
-    scale = max(float(np.max(np.abs(v1))), 1.0)
-    if d1 <= 1e-14 * scale and d2 <= 1e-14 * scale:
-        return v1, 1e-13 * scale, False
-    if d2 <= 0 or d1 <= d2:
-        return v1, 3.0 * max(d1, d2), True
-    order = math.log2(d1 / d2)
-    correction = (v1 - v2) / (2.0**order - 1.0)
-    return v1 + correction, max(float(np.max(np.abs(correction))), 1e-14 * scale), False
+) -> Richardson:
+    """Reference price curve from solves at delta_fine, 2x and 4x, extrapolated
+    by ``analysis.richardson`` with one order fitted from sup norms (pointwise
+    extrapolation is too fragile near payoff kinks)."""
+    return richardson(*(_price_curve(replace(spec, delta=mult * delta_fine), s0, query_x)
+                        for mult in (4.0, 2.0, 1.0)))
 
 
 def bsb_rate_experiment(
@@ -298,15 +287,12 @@ def bsb_rate_experiment(
         raise ArgumentError("need at least 3 time steps")
     x0 = math.log(s0)
     query_x = np.linspace(x0 - query_halfwidth, x0 + query_halfwidth, n_query)
-    ref_curve, ref_acc, _warn = richardson_reference_curve(
-        spec, s0, query_x, deltas[-1] / reference_refinement
-    )
-    discount = math.exp(-spec.r * spec.horizon)
+    ref = richardson_reference_curve(spec, s0, query_x, deltas[-1] / reference_refinement)
+    if ref.warning:
+        log.warning("bsb_rate_experiment: reference refinement does not contract (estimate "
+                    "%.3e, fitted order %.4g); using its finest solve", ref.estimate, ref.order)
     errors = [
-        float(np.max(np.abs(
-            _grid_solution(replace(spec, delta=d), s0).steps[-1].interp(query_x) * discount
-            - ref_curve
-        )))
+        float(np.max(np.abs(_price_curve(replace(spec, delta=d), s0, query_x) - ref.value)))
         for d in deltas
     ]
     fit = fit_rate(list(zip(deltas, errors)), target=target_slope, slack=slack, label="bsb-rate")

@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from ._util import fmt17
 from .analysis import ExperimentResult
 from .bounds import (
@@ -34,7 +32,7 @@ from .oracles import (
     fine_grid_reference,
     maximal_sup,
 )
-from .scheme import SchemeConfig, SchemeSolution, solve_grid
+from .scheme import SchemeConfig, SchemeSolution, reachable_halfwidth, solve_grid
 from .uncertainty import load_measures, validate
 
 SUBCOMMANDS = ("gheat", "clt", "lln", "bsb", "bounds", "consistency", "oracle")
@@ -231,12 +229,7 @@ def _run(ns: argparse.Namespace) -> int:
     if cmd == "gheat":
         u = _load_family(ns)
         phi = builtin_phi(ns.phi)
-        if ns.grid_half is None:
-            max_x = max(float(np.max(np.abs(m.xs), initial=0.0)) for m in u.measures)
-            max_y = max(float(np.max(np.abs(m.ys), initial=0.0)) for m in u.measures)
-            half = abs(ns.x_eval) + ns.T * max_y + (ns.T**0.5) * max_x * 4.0 + 1e-6
-        else:
-            half = ns.grid_half
+        half = ns.grid_half if ns.grid_half is not None else reachable_halfwidth(u, ns.T, ns.x_eval)
         cfg_g = SchemeConfig(delta=ns.delta, horizon=ns.T,
                              grid_lo=(ns.x_eval - half,), grid_hi=(ns.x_eval + half,),
                              grid_n=(ns.grid_n,))

@@ -16,7 +16,8 @@ import numpy as np
 from .analysis import ExperimentResult, ExperimentRow, fit_rate
 from .errors import ArgumentError, ConfigurationError, ResourceLimitError
 from .oracles import ReferenceSolution, ThetaSet, maximal_sup
-from .scheme import InitialData, SchemeConfig, solve_grid, solve_lattice
+from .scheme import (InitialData, SchemeConfig, _atom_extent, reachable_halfwidth, solve_grid,
+                     solve_lattice)
 from .uncertainty import UncertaintySet, validate
 
 log = logging.getLogger("gscheme")
@@ -61,11 +62,10 @@ def clt_functional(
             log.info("clt_functional n=%d: lattice refused (%s); falling back to the grid", n, exc)
     if u.d != 1:
         raise ArgumentError("grid fallback is implemented for d = 1")
-    max_x = max(float(np.max(np.abs(m.xs), initial=0.0)) for m in u.measures)
-    max_y = max(float(np.max(np.abs(m.ys), initial=0.0)) for m in u.measures)
-    halfwidth = max_y + 4.0 * max_x + 1e-6
-    h = grid_h if grid_h is not None else max(math.sqrt(delta) * max(max_x, 1e-6) / 8.0, 1e-5)
-    n_grid = int(round(2 * halfwidth / h)) + 1
+    halfwidth = reachable_halfwidth(u, 1.0)
+    if grid_h is None:
+        grid_h = max(math.sqrt(delta) * max(_atom_extent(u)[0], 1e-6) / 8.0, 1e-5)
+    n_grid = int(round(2 * halfwidth / grid_h)) + 1
     cfg = SchemeConfig(delta=delta, horizon=1.0, grid_lo=(-halfwidth,), grid_hi=(halfwidth,),
                        grid_n=(n_grid,))
     return solve_grid(u, cfg, phi, keep="last").value_at(1.0, 0.0)

@@ -11,8 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import richardson
 from .errors import ArgumentError, ResourceLimitError, UnsupportedError
-from .scheme import InitialData, SchemeConfig, solve_grid, solve_lattice
+from .scheme import (InitialData, SchemeConfig, _distinct_displacements, reachable_halfwidth,
+                     solve_grid, solve_lattice)
 from .uncertainty import UncertaintySet
 
 
@@ -94,12 +96,6 @@ def classical_normal_reference(phi: InitialData, sigma: float) -> ReferenceSolut
     return ReferenceSolution(val, "classical_normal", max(err, 1e-14), {"sigma": sigma})
 
 
-def _auto_halfwidth(u: UncertaintySet, t_eval: float, x_eval: float, safety: float = 4.0) -> float:
-    max_x = max(float(np.max(np.abs(m.xs), initial=0.0)) for m in u.measures)
-    max_y = max(float(np.max(np.abs(m.ys), initial=0.0)) for m in u.measures)
-    return abs(x_eval) + t_eval * max_y + math.sqrt(max(t_eval, 1e-12)) * max_x * safety + 1e-6
-
-
 def fine_grid_reference(
     u: UncertaintySet,
     phi: InitialData,
@@ -107,46 +103,42 @@ def fine_grid_reference(
     x_eval: float,
     delta_ref: float | None = None,
     target_delta: float | None = None,
-    h: float | None = None,
-    halfwidth: float | None = None,
-    safety: float = 4.0,
-    node_cap: int = 2_000_000,
 ) -> ReferenceSolution:
     """Reference value u(t_eval, x_eval) from the same recursion at much finer delta.
 
-    Solves at delta_ref, 2*delta_ref and 4*delta_ref and Richardson-extrapolates;
-    the accuracy estimate is the magnitude of the last extrapolation correction.
-    A one- or two-displacement family is routed through the exact lattice
-    (interpolation-free); otherwise a fine shared grid is used for all three
+    Solves at delta_ref in (0, t_eval], 2*delta_ref and 4*delta_ref and
+    extrapolates with ``analysis.richardson``; the accuracy estimate is the
+    magnitude of the last extrapolation correction.  A one- or two-displacement
+    family is routed through the exact lattice (interpolation-free); otherwise
+    a fine grid of half-width ``reachable_halfwidth`` is shared by all three
     solves so the extrapolation isolates the time-step error.
     """
-    if t_eval <= 0:
-        raise ArgumentError("t_eval must be positive")
+    if not (0 < t_eval < math.inf):
+        raise ArgumentError(f"t_eval must be positive and finite, got {t_eval}")
     if delta_ref is None:
         delta_ref = 1.0 / 4096.0
         if target_delta is not None:
+            if not (target_delta > 0):
+                raise ArgumentError(f"target_delta must be positive, got {target_delta}")
             delta_ref = min(delta_ref, target_delta * target_delta)
+    elif not (0 < delta_ref <= t_eval):
+        raise ArgumentError(f"delta_ref must lie in (0, {t_eval}], got {delta_ref}")
     # snap so that t_eval is an integer number of steps at all three resolutions,
     # with the coarsest delta still inside (0, 1]
     n_fine = max(4, int(round(t_eval / delta_ref)), int(math.ceil(4 * t_eval)))
     n_fine += (-n_fine) % 4
     deltas = [4 * t_eval / n_fine, 2 * t_eval / n_fine, t_eval / n_fine]
 
-    from .scheme import _distinct_displacements  # local import to keep surface small
-
     values = []
-    used_lattice = False
     disp, _ = _distinct_displacements(u, deltas[-1])
-    if disp.shape[0] <= 2 and u.d == 1:
-        used_lattice = True
+    used_lattice = disp.shape[0] <= 2 and u.d == 1
+    if used_lattice:
         for dlt in deltas:
             n = int(round(t_eval / dlt))
-            values.append(solve_lattice(u, dlt, n, [x_eval], phi, node_cap=node_cap).value)
+            values.append(solve_lattice(u, dlt, n, [x_eval], phi).value)
     else:
-        if halfwidth is None:
-            halfwidth = _auto_halfwidth(u, t_eval, x_eval, safety)
-        if h is None:
-            h = max(2.0 * halfwidth / 250_000, 1.1e-4)
+        halfwidth = reachable_halfwidth(u, t_eval, x_eval)
+        h = max(2.0 * halfwidth / 250_000, 1.1e-4)
 
         def grid_value(dlt, spacing):
             n_grid = max(3, int(round(2 * halfwidth / spacing)) + 1)
@@ -166,31 +158,19 @@ def fine_grid_reference(
             h_corrections.append((vh - v2h) / 3.0)
             values.append(vh + h_corrections[-1])
 
-    v4, v2, v1 = values
-    d1 = v2 - v4
-    d2 = v1 - v2
+    fit = richardson(*values)
     meta = {
         "delta_ref": deltas[-1],
         "solves": list(values),
         "backend": "lattice" if used_lattice else "grid",
+        "fitted_order": fit.order,
     }
     extra = 0.0
     if not used_lattice:
         meta.update({"h": h, "halfwidth": halfwidth, "h_corrections": h_corrections})
         extra = abs(h_corrections[-1]) / 3.0
-    scale = max(abs(v1), 1.0)
-    if abs(d1) <= 1e-14 * scale and abs(d2) <= 1e-14 * scale:
-        return ReferenceSolution(v1, "fine_grid_gheat", 1e-13 * scale + extra, meta)
-    if d1 == 0.0 or d2 == 0.0 or (d1 > 0) != (d2 > 0) or abs(d2) >= abs(d1):
-        # non-monotone refinement: keep the finest value, inflate the estimate
-        return ReferenceSolution(
-            v1, "fine_grid_gheat", 3.0 * max(abs(d1), abs(d2)) + extra, meta, warning=True
-        )
-    rate = d1 / d2  # = 2^gamma for error ~ C * delta^gamma
-    correction = d2 / (rate - 1.0)
-    meta["fitted_order"] = math.log2(rate)
     return ReferenceSolution(
-        v1 + correction, "fine_grid_gheat", max(abs(correction), 1e-14 * scale) + extra, meta
+        fit.value, "fine_grid_gheat", fit.estimate + extra, meta, warning=fit.warning
     )
 
 

@@ -69,14 +69,14 @@ class SchemeConfig:
         object.__setattr__(self, "grid_n", n)
         if not (0 < self.delta <= 1):
             raise ArgumentError(f"delta must lie in (0, 1], got {self.delta}")
-        if self.horizon < self.delta:
-            raise ArgumentError(f"horizon {self.horizon} must be >= delta {self.delta}")
+        if not (self.delta <= self.horizon < math.inf):
+            raise ArgumentError(f"horizon {self.horizon} must be finite and >= delta {self.delta}")
         if not (len(lo) == len(hi) == len(n)):
             raise ArgumentError("grid_lo, grid_hi, grid_n must share one length")
         if len(lo) > 3:
             raise ArgumentError("grid backend supports at most d = 3")
-        if any(a >= b for a, b in zip(lo, hi)):
-            raise ArgumentError("grid_lo must be strictly below grid_hi componentwise")
+        if not all(-math.inf < a < b < math.inf for a, b in zip(lo, hi)):
+            raise ArgumentError("grid_lo must be finite and strictly below finite grid_hi")
         if any(k < 2 for k in n):
             raise ArgumentError("grid_n must be at least 2 per axis")
         if self.extrapolation != "clamp-constant":
@@ -234,6 +234,21 @@ class GridFunction:
 
     def min_value(self) -> float:
         return float(np.min(self.values))
+
+
+def reachable_halfwidth(u: UncertaintySet, horizon: float, x_eval: float = 0.0) -> float:
+    """Half-width of a grid centred on x_eval that holds its reachable cone: drift
+    horizon * max|Y|, four spreads sqrt(horizon) * max|X|, margin |x_eval| + 1e-6."""
+    if not (0 < horizon < math.inf):
+        raise ArgumentError(f"horizon must be positive and finite, got {horizon}")
+    max_x, max_y = _atom_extent(u)
+    return abs(x_eval) + horizon * max_y + math.sqrt(horizon) * max_x * 4.0 + 1e-6
+
+
+def _atom_extent(u: UncertaintySet) -> tuple[float, float]:
+    """max|X| and max|Y| over every atom of the family."""
+    return (max(float(np.max(np.abs(m.xs), initial=0.0)) for m in u.measures),
+            max(float(np.max(np.abs(m.ys), initial=0.0)) for m in u.measures))
 
 
 def _shifts(u: UncertaintySet, delta: float):
@@ -470,22 +485,13 @@ class LatticeResult:
 
 
 def _distinct_displacements(u: UncertaintySet, delta: float):
-    """Distinct displacement vectors and per-measure (index, weight) tables."""
-    root = math.sqrt(delta)
+    """Distinct displacement vectors of ``_shifts`` and per-measure (index, weight) tables."""
     seen: dict[tuple, int] = {}
-    disp: list[tuple] = []
     tables = []
-    for xs, ys, ps in u.atom_arrays():
-        shift = root * xs + delta * ys
-        idx = []
-        for row in np.atleast_2d(shift):
-            key = tuple(row.tolist())
-            if key not in seen:
-                seen[key] = len(disp)
-                disp.append(key)
-            idx.append(seen[key])
+    for shift, ps in _shifts(u, delta):
+        idx = [seen.setdefault(tuple(row.tolist()), len(seen)) for row in np.atleast_2d(shift)]
         tables.append((np.array(idx), ps))
-    return np.array(disp), tables
+    return np.array(list(seen)), tables
 
 
 # Sums reaching one position by different paths differ by ~n * 1e-16 of the

@@ -5,6 +5,7 @@ import pytest
 
 import gscheme as gs
 from conftest import make_random_family
+from gscheme.analysis import richardson
 
 
 class TestFitRate:
@@ -42,6 +43,48 @@ class TestFitRate:
         res = gs.fit_rate([(0.125, 0.1), (0.5, 0.4), (0.25, 0.2)])
         assert [r.resolution for r in res.rows] == [0.5, 0.25, 0.125]
         assert all(r.error >= 0 for r in res.rows)
+
+
+class TestRichardson:
+    def test_scalar_monotone_extrapolates_to_limit(self):
+        # v(delta) = 1 + delta: first order, limit 1
+        fit = richardson(1.0 + 0.4, 1.0 + 0.2, 1.0 + 0.1)
+        assert not fit.warning
+        assert fit.order == pytest.approx(1.0, abs=1e-12)
+        assert fit.value == pytest.approx(1.0, abs=1e-14)
+        assert fit.estimate == pytest.approx(0.1, rel=1e-12)
+
+    def test_scalar_sign_flip_warns(self):
+        # d1 = +0.2, d2 = -0.1: the sup norms contract, the refinement does not
+        fit = richardson(1.0, 1.2, 1.1)
+        assert fit.warning
+        assert fit.value == 1.1
+        assert fit.estimate == pytest.approx(3 * 0.2, rel=1e-12)
+
+    @pytest.mark.parametrize("v", [(2.0, 2.1, 2.1), (2.0, 2.0, 2.1)])
+    def test_scalar_refinement_not_contracting_warns(self, v):
+        fit = richardson(*v)
+        assert fit.warning
+        assert fit.value == v[2]
+        assert fit.estimate == pytest.approx(0.3, rel=1e-12)
+
+    def test_degenerate_differences(self):
+        fit = richardson(5.0, 5.0 + 1e-14, 5.0 + 2e-14)
+        assert not fit.warning
+        assert fit.value == 5.0 + 2e-14
+        assert fit.estimate == pytest.approx(5e-13, rel=1e-12)
+        assert np.isnan(fit.order)
+
+    def test_curve_with_mixed_sign_differences_does_not_warn(self):
+        v4 = np.array([0.0, 0.0])
+        v2 = v4 + np.array([0.4, -0.1])  # d1
+        v1 = v2 + np.array([-0.05, 0.2])  # d2: |d2| = |d1| / 2 in the sup norm
+        assert float(np.dot(v2 - v4, v1 - v2)) < 0
+        fit = richardson(v4, v2, v1)
+        assert not fit.warning
+        assert fit.order == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(fit.value, v1 + (v1 - v2), rtol=0, atol=1e-15)
+        assert fit.estimate == pytest.approx(0.2, rel=1e-12)
 
 
 def small_solution(phi, family=None, delta=1 / 8, half=6.0, n=161):

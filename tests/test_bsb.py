@@ -1,9 +1,12 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
 import gscheme as gs
+import gscheme.bsb
+from gscheme.analysis import Richardson
 from gscheme.bsb import default_grid
 
 
@@ -20,6 +23,14 @@ class TestSpecAndTransform:
             put_spec(sigma_lo=0.3, sigma_hi=0.1)
         with pytest.raises(gs.ArgumentError):
             gs.BsbSpec(0.0, 0.1, 0.3, 1.0, gs.make_payoff("put", 1.0), n_sigma=1)
+
+    @pytest.mark.parametrize("field", ["r", "sigma_lo", "sigma_hi", "horizon", "delta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_spec_rejects_non_finite(self, field, bad):
+        values = {"r": 0.05, "sigma_lo": 0.1, "sigma_hi": 0.3, "horizon": 1.0, "delta": 0.01}
+        values[field] = bad
+        with pytest.raises(gs.ArgumentError):
+            gs.BsbSpec(payoff=gs.make_payoff("put", 1.0), n_sigma=3, **values)
 
     def test_uncapped_call_rejected(self):
         with pytest.raises(gs.ArgumentError, match="lower bounded"):
@@ -41,6 +52,17 @@ class TestSpecAndTransform:
     def test_rejects_nonpositive_spot(self):
         with pytest.raises(gs.ArgumentError):
             gs.bsb_transform(put_spec(), 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("build", [
+        lambda bad: gs.bsb_transform(put_spec(), bad),
+        lambda bad: gs.make_payoff("put", bad),
+        lambda bad: gs.make_payoff("capped-call", bad, 0.5),
+        lambda bad: gs.make_payoff("capped-call", 1.0, bad),
+    ], ids=["spot", "put-strike", "call-strike", "call-cap"])
+    def test_rejects_non_finite_spot_strike_or_cap(self, build, bad):
+        with pytest.raises(gs.ArgumentError):
+            build(bad)
 
 
 class TestStep:
@@ -194,3 +216,22 @@ def test_rate_experiment_small():
     assert res.fitted_slope >= 0.10
     errs = res.errors()
     assert all(errs[i + 1] <= errs[i] for i in range(len(errs) - 1))
+
+
+def test_rate_experiment_logs_a_non_contracting_reference(monkeypatch, caplog):
+    spec = gs.BsbSpec(0.05, 0.1, 0.3, 1.0, gs.make_payoff("put", 1.0), n_sigma=3,
+                      delta=2**-3)
+    deltas = [2.0**-k for k in range(3, 6)]
+    with caplog.at_level(logging.WARNING, logger="gscheme"):
+        gs.bsb_rate_experiment(spec, 1.0, deltas)
+    assert not caplog.records
+
+    def flagged(spec, s0, query_x, delta_fine):
+        return Richardson(np.zeros_like(query_x), 0.0123, -0.25, True)
+
+    monkeypatch.setattr(gscheme.bsb, "richardson_reference_curve", flagged)
+    with caplog.at_level(logging.WARNING, logger="gscheme"):
+        gs.bsb_rate_experiment(spec, 1.0, deltas)
+    [record] = caplog.records
+    assert record.name == "gscheme" and record.levelno == logging.WARNING
+    assert "1.230e-02" in record.getMessage() and "-0.25" in record.getMessage()

@@ -249,3 +249,29 @@ def test_failed_check_exits_3(tmp_path):
         ])
         assert rc == 3
 
+
+
+_CLT = ["clt", "--family", "builtin:pm-sigma", "--sigma-lo", "0.1", "--sigma-hi", "0.3",
+        "--phi", "capped-relu", "--n-list", "2,4,8"]
+_BSB = ["bsb", "--sigma-lo", "0.1", "--sigma-hi", "0.3", "--K", "1", "--payoff", "put",
+        "--s0", "1", "--delta", "0.01"]  # argparse keeps the last of a repeated option
+
+
+@pytest.mark.parametrize("argv, names", [
+    (_CLT + ["--delta-ref", "0"], "delta_ref"),
+    (_CLT + ["--delta-ref", "nan"], "delta_ref"),
+    (_CLT + ["--delta-ref=-1"], "delta_ref"),
+    (_BSB + ["--r", "0.05", "--T", "nan"], "horizon"),
+    (_BSB + ["--r", "nan", "--T", "1"], "r must be finite"),
+    (_BSB + ["--r", "0.05", "--T", "1", "--s0", "nan"], "s0"),
+    (_BSB + ["--r", "0.05", "--T", "1", "--K", "nan"], "strike"),
+    (["gheat", "--family", "builtin:pm-sigma", "--sigma-lo", "0.2", "--sigma-hi", "0.2",
+      "--phi", "abs", "--delta", "0.25", "--T", "nan"], "horizon"),
+], ids=["clt-delta-ref-0", "clt-delta-ref-nan", "clt-delta-ref-neg", "bsb-T-nan",
+        "bsb-r-nan", "bsb-s0-nan", "bsb-K-nan", "gheat-T-nan"])
+def test_out_of_range_numbers_exit_1(capsys, argv, names):
+    rc = main(argv)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert names in err

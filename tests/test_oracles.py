@@ -83,6 +83,15 @@ class TestFineGridReference:
         with pytest.raises(gs.ArgumentError):
             gs.ReferenceSolution(1.0, "fine_grid_gheat", 0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"delta_ref": 0.0}, {"delta_ref": -1.0}, {"delta_ref": math.nan},
+        {"delta_ref": 1.5}, {"target_delta": 0.0}, {"target_delta": math.nan},
+    ])
+    def test_rejects_out_of_range_time_step(self, kwargs):
+        u = gs.pm_sigma_family([0.1, 0.3])
+        with pytest.raises(gs.ArgumentError):
+            gs.fine_grid_reference(u, gs.builtin_phi("relu"), 1.0, 0.0, **kwargs)
+
     def test_classical_limit_single_measure(self):
         # one-measure family: the recursion limit is the classical expectation
         u = gs.pm_sigma_family([0.5])

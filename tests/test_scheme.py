@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 import gscheme as gs
+import gscheme.bsb
+import gscheme.cli
+import gscheme.clt
+import gscheme.oracles
 from conftest import make_random_family, make_shared_displacement_config
 
 
@@ -26,6 +30,15 @@ def test_config_validation():
         gs.SchemeConfig(delta=0.5, horizon=1.0, grid_lo=(-1,), grid_hi=(1,), grid_n=(1,))
     # delta = 1 is allowed: one unit step
     gs.SchemeConfig(delta=1.0, horizon=1.0, grid_lo=(-1,), grid_hi=(1,), grid_n=(5,))
+
+
+@pytest.mark.parametrize("horizon, lo, hi", [
+    (math.nan, -1.0, 1.0), (math.inf, -1.0, 1.0),
+    (1.0, math.nan, 1.0), (1.0, -1.0, math.nan), (1.0, -math.inf, 1.0), (1.0, -1.0, math.inf),
+])
+def test_config_rejects_non_finite(horizon, lo, hi):
+    with pytest.raises(gs.ArgumentError):
+        gs.SchemeConfig(delta=0.5, horizon=horizon, grid_lo=(lo,), grid_hi=(hi,), grid_n=(5,))
 
 
 def test_forward_identity_for_zero_family():
@@ -456,3 +469,56 @@ def test_two_dimensional_forward_operator():
     const = gs.InitialData("c", lambda p: np.full(p.shape[0], 2.0), 2.0)
     solc = gs.solve_grid(u, cfg, const)
     assert np.max(np.abs(solc.steps[-1].values - 2.0)) < 1e-12
+
+
+def _cone_grids(monkeypatch, module, run):
+    """Configs of every grid solve ``run`` makes through ``module.solve_grid``."""
+    seen = []
+
+    def recording(u, cfg, phi, keep="all"):
+        seen.append(cfg)
+        return gs.solve_grid(u, cfg, phi, keep=keep)
+
+    monkeypatch.setattr(module, "solve_grid", recording)
+    run()
+    assert seen
+    return seen
+
+
+def _cone(u, horizon):
+    # drift over the horizon plus four sqrt(horizon) spreads of the X part
+    max_x = max(abs(a.x[0]) for m in u.measures for a in m.atoms)
+    max_y = max(abs(a.y[0]) for m in u.measures for a in m.atoms)
+    return horizon * max_y + 4.0 * math.sqrt(horizon) * max_x
+
+
+@pytest.mark.parametrize("caller", ["clt-fallback", "fine-reference", "gheat", "default-grid"])
+def test_every_sizing_caller_holds_the_cone(monkeypatch, caller):
+    drift = gs.UncertaintySet(tuple(
+        gs.DiscreteMeasure((gs.Atom([s], [mu], 0.5), gs.Atom([-s], [mu], 0.5)))
+        for s, mu in ((0.1, 0.05), (0.2, -0.3), (0.3, 0.1))), d=1)
+    phi = gs.builtin_phi("capped-relu")
+    if caller == "clt-fallback":
+        u, horizon, x_eval = gs.pm_sigma_family([0.1, 0.3]), 1.0, 0.0
+        cfgs = _cone_grids(monkeypatch, gscheme.clt, lambda: gs.clt_functional(
+            u, 4, phi, backend="grid"))
+    elif caller == "fine-reference":
+        u, horizon, x_eval = drift, 0.5, 0.3
+        cfgs = _cone_grids(monkeypatch, gscheme.oracles, lambda: gs.fine_grid_reference(
+            u, phi, horizon, x_eval, delta_ref=1 / 16))
+    elif caller == "gheat":
+        u, horizon, x_eval = gs.pm_sigma_family([0.1, 0.3]), 0.5, -0.2
+        argv = ["gheat", "--family", "builtin:pm-sigma", "--sigma-lo", "0.1",
+                "--sigma-hi", "0.3", "--phi", "capped-relu", "--delta", "0.125",
+                "--T", "0.5", "--x-eval", "-0.2"]
+        cfgs = _cone_grids(monkeypatch, gscheme.cli, lambda: gscheme.cli.main(argv))
+    else:
+        spec = gs.BsbSpec(0.05, 0.1, 0.3, 0.75, gs.make_payoff("put", 1.0), n_sigma=5,
+                          delta=0.01)
+        u, horizon, x_eval = spec.uncertainty_set(), spec.horizon, math.log(1.3)
+        cfgs = [gscheme.bsb.default_grid(spec, 1.3, 0.01)]
+    reach = _cone(u, horizon)
+    assert reach > 0
+    for cfg in cfgs:
+        assert cfg.grid_lo[0] <= x_eval - reach
+        assert cfg.grid_hi[0] >= x_eval + reach
