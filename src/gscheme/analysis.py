@@ -4,6 +4,7 @@ moduli and convergence-order fitting."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,20 +104,6 @@ def richardson(v4, v2, v1) -> Richardson:
                       order, False)
 
 
-def _as_step_values(h, solution: SchemeSolution, first: int, last: int):
-    """Normalize a comparison-side h into per-step arrays over [first, last]."""
-    shape = solution.steps[0].values.shape
-    out = []
-    for n in range(first, last + 1):
-        if np.isscalar(h) or isinstance(h, (int, float)):
-            out.append(np.full(shape, float(h)))
-        elif callable(h):
-            out.append(np.broadcast_to(np.asarray(h(n * solution.config.delta), float), shape))
-        else:
-            out.append(np.asarray(h[n - first], dtype=float).reshape(shape))
-    return out
-
-
 def _residual_series(solution: SchemeSolution, step: GridStencil, n: int) -> np.ndarray:
     """Nodewise scheme residual of a solution at step n against step n-1."""
     prev = solution.steps[n - 1].values
@@ -126,19 +113,22 @@ def _residual_series(solution: SchemeSolution, step: GridStencil, n: int) -> np.
 def check_comparison(
     under: SchemeSolution,
     over: SchemeSolution,
-    h1=0.0,
-    h2=0.0,
+    h1: float = 0.0,
+    h2: float = 0.0,
     slack: float = 1e-9,
     precondition_tol: float = 1e-9,
 ):
     """Discrete comparison check between a subsolution and a supersolution.
 
     First verifies the residual preconditions (under-residuals <= h1 and
-    over-residuals >= h2 on the strict interior time levels); then evaluates
-    the conclusion inequality nodewise: the gap between the two solutions
-    never exceeds its value on the initial strip plus t times the largest
-    positive part of h1 - h2.  Returns (holds, max violation).
+    over-residuals >= h2, two real constants, on the strict interior time
+    levels); then evaluates the conclusion inequality nodewise: the gap never
+    exceeds its value on the initial strip plus t times the positive part of
+    h1 - h2.  Returns (holds, max violation).
     """
+    if not all(isinstance(h, numbers.Real) and math.isfinite(h) for h in (h1, h2)):
+        raise ArgumentError(f"h1 and h2 must be finite real numbers, got {h1!r} and {h2!r}")
+    h1, h2 = float(h1), float(h2)
     if under.config != over.config:
         raise ArgumentError("both solutions must share one grid configuration")
     if under.first_step or over.first_step:
@@ -146,31 +136,27 @@ def check_comparison(
     n_last = min(under.n_steps, over.n_steps)
     if n_last < 1:
         raise ArgumentError("solutions must contain at least one step")
-    # interior levels are those strictly past the first interval
+    # interior levels are those strictly past the first interval; with
+    # constant h, max(r - h) = max(r) - h exactly (rounding is monotone)
     interior = range(2, n_last + 1)
-    h1s = _as_step_values(h1, under, 2, n_last)
-    h2s = _as_step_values(h2, over, 2, n_last)
     under_step = GridStencil(under.family, under.config)
     over_step = GridStencil(over.family, over.config)
-    for i, n in enumerate(interior):
-        r_under = _residual_series(under, under_step, n)
-        if np.max(r_under - h1s[i]) > precondition_tol:
+    for n in interior:
+        excess = float(np.max(_residual_series(under, under_step, n))) - h1
+        if excess > precondition_tol:
             raise PreconditionError(
-                f"under-solution residual exceeds h1 at step {n} by {np.max(r_under - h1s[i]):.3e}"
+                f"under-solution residual exceeds h1 at step {n} by {excess:.3e}"
             )
-        r_over = _residual_series(over, over_step, n)
-        if np.min(r_over - h2s[i]) < -precondition_tol:
+        shortfall = float(np.min(_residual_series(over, over_step, n))) - h2
+        if shortfall < -precondition_tol:
             raise PreconditionError(
-                f"over-solution residual undercuts h2 at step {n} by {-np.min(r_over - h2s[i]):.3e}"
+                f"over-solution residual undercuts h2 at step {n} by {-shortfall:.3e}"
             )
     strip = max(
         float(np.max(under.steps[n].values - over.steps[n].values)) for n in (0, min(1, n_last))
     )
     strip = max(strip, 0.0)
-    h_gap = max(
-        (float(np.max(h1s[i] - h2s[i])) for i in range(len(h1s))), default=0.0
-    )
-    h_gap = max(h_gap, 0.0)
+    h_gap = max(h1 - h2, 0.0) if interior else 0.0
     worst = -math.inf
     for n in range(0, n_last + 1):
         t = n * under.config.delta

@@ -247,10 +247,10 @@ def compute_constants(
     """
     if not (0 < beta <= 1):
         raise ArgumentError(f"beta must lie in (0, 1], got {beta}")
-    if c_phi <= 0:
-        raise ArgumentError("c_phi must be positive")
-    if T <= 0:
-        raise ArgumentError("T must be positive")
+    if not (0 < c_phi < math.inf):
+        raise ArgumentError(f"c_phi must be positive and finite, got {c_phi}")
+    if not (0 < T < math.inf):
+        raise ArgumentError(f"T must be positive and finite, got {T}")
     if c_rho is None:
         c_rho = compute_c_rho()
     mx2, mx3, my1, my2 = moments.m_x2, moments.m_x3, moments.m_y1, moments.m_y2

@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from ._util import fmt17
@@ -23,7 +24,7 @@ from .bounds import (
 )
 from .bsb import BsbSpec, bsb_price, bsb_transform, make_payoff
 from .clt import clt_experiment, lln_experiment
-from .errors import GschemeError
+from .errors import ArgumentError, GschemeError
 from .families import builtin_family, builtin_phi
 from .oracles import (
     ThetaSet,
@@ -70,11 +71,15 @@ def _load_family(ns):
     return builtin_family(kind, **params)
 
 
-def _parse_n_list(text: str):
+def _parse_list(text: str, flag: str, kind=int) -> list:
+    """Comma-separated finite numbers of one kind; at least one is required."""
     try:
-        return [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise GschemeError(f"bad --n-list {text!r}: expected comma-separated integers") from exc
+        values = [kind(part) for part in text.split(",") if part]
+    except ValueError:
+        values = []
+    if not values or not all(map(math.isfinite, values)):
+        raise ArgumentError(f"bad {flag} {text!r}: want comma-separated finite {kind.__name__}s")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,7 +234,7 @@ def _run(ns: argparse.Namespace) -> int:
     if cmd == "gheat":
         u = _load_family(ns)
         phi = builtin_phi(ns.phi)
-        half = ns.grid_half if ns.grid_half is not None else reachable_halfwidth(u, ns.T, ns.x_eval)
+        half = ns.grid_half if ns.grid_half is not None else reachable_halfwidth(u, ns.T)
         cfg_g = SchemeConfig(delta=ns.delta, horizon=ns.T,
                              grid_lo=(ns.x_eval - half,), grid_hi=(ns.x_eval + half,),
                              grid_n=(ns.grid_n,))
@@ -246,7 +251,7 @@ def _run(ns: argparse.Namespace) -> int:
     if cmd == "clt":
         u = _load_family(ns)
         phi = builtin_phi(ns.phi)
-        n_list = _parse_n_list(ns.n_list)
+        n_list = _parse_list(ns.n_list, "--n-list")
         moments = validate(u)
         report = compute_constants(moments, ns.cphi, ns.beta, 1.0)
         ref = fine_grid_reference(u, phi, 1.0, 0.0, delta_ref=ns.delta_ref,
@@ -261,7 +266,7 @@ def _run(ns: argparse.Namespace) -> int:
     if cmd == "lln":
         u = _load_family(ns)
         theta = ThetaSet.box([ns.theta_lo or 0.0], [ns.theta_hi if ns.theta_hi is not None else 0.1])
-        n_list = _parse_n_list(ns.n_list)
+        n_list = _parse_list(ns.n_list, "--n-list")
         phi = builtin_phi(ns.phi) if ns.phi else None
         result = lln_experiment(u, theta, n_list, phi=phi)
         _print_experiment(result)
@@ -274,7 +279,10 @@ def _run(ns: argparse.Namespace) -> int:
         spec = BsbSpec(ns.r, ns.sigma_lo, ns.sigma_hi, ns.T, payoff,
                        n_sigma=ns.nsigma, delta=ns.delta)
         if ns.dump_steps:
-            value, steps = bsb_price(spec, ns.s0, backend="grid", return_solution=True)
+            value, steps = bsb_price(spec, ns.s0, backend=ns.backend, return_solution=True)
+            if steps is None:
+                raise ArgumentError("--dump-steps writes grid levels, but this run prices on "
+                                    "the exact tree; pass --backend grid")
             _x0, phi, inverse = bsb_transform(spec, ns.s0)
             price = inverse(value)
             SchemeSolution(steps[0].config, spec.uncertainty_set(), phi, steps).dump_csv(
@@ -303,7 +311,7 @@ def _run(ns: argparse.Namespace) -> int:
         u = _load_family(ns)
         psi = gaussian_bump() if ns.psi == "gauss" else sine()
         moments = validate(u)
-        deltas = [float(s) for s in ns.delta_list.split(",") if s]
+        deltas = _parse_list(ns.delta_list, "--delta-list", float)
         rows = []
         ok = True
         for d in sorted(deltas, reverse=True):

@@ -49,6 +49,8 @@ def clt_functional(
         raise ArgumentError("n must be a positive integer")
     if backend not in ("auto", "lattice", "grid"):
         raise ArgumentError(f"unknown backend {backend!r}")
+    if grid_h is not None and not (0 < grid_h < math.inf):
+        raise ArgumentError(f"grid_h must be positive and finite, got {grid_h}")
     report = validate(u)
     if not report.no_mean_uncertainty:
         raise ConfigurationError("family has mean uncertainty in X")

@@ -40,6 +40,8 @@ def bs_closed_form(r: float, sigma: float, T: float, K: float, s0: float, kind: 
     """Closed-form European put under a single lognormal volatility."""
     if kind != "put":
         raise UnsupportedError(f"only kind='put' is supported, got {kind!r}")
+    if not all(math.isfinite(v) for v in (r, sigma, T, K, s0)):
+        raise ArgumentError("r, sigma, T, K and s0 must be finite")
     if sigma <= 0 or T <= 0:
         raise ArgumentError("need sigma > 0 and T > 0")
     if s0 <= 0:
@@ -83,8 +85,8 @@ def classical_normal_reference(phi: InitialData, sigma: float) -> ReferenceSolut
     """E[phi(sigma Z)] for a standard normal Z by adaptive quadrature."""
     from scipy.integrate import quad
 
-    if sigma < 0:
-        raise ArgumentError("sigma must be nonnegative")
+    if not (0 <= sigma < math.inf):
+        raise ArgumentError(f"sigma must be nonnegative and finite, got {sigma}")
     if sigma == 0:
         return ReferenceSolution(float(phi(np.array([0.0]))[0]), "classical_normal", 1e-15)
     dens = 1.0 / math.sqrt(2 * math.pi)
@@ -137,7 +139,7 @@ def fine_grid_reference(
             n = int(round(t_eval / dlt))
             values.append(solve_lattice(u, dlt, n, [x_eval], phi).value)
     else:
-        halfwidth = reachable_halfwidth(u, t_eval, x_eval)
+        halfwidth = reachable_halfwidth(u, t_eval)
         h = max(2.0 * halfwidth / 250_000, 1.1e-4)
 
         def grid_value(dlt, spacing):
@@ -187,8 +189,8 @@ class ThetaSet:
     def box(lo, hi) -> "ThetaSet":
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if lo.shape != hi.shape or np.any(lo > hi):
-            raise ArgumentError("box needs lo <= hi componentwise")
+        if lo.shape != hi.shape or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
+            raise ArgumentError("box needs finite lo <= hi componentwise")
         return ThetaSet("box", lo=lo, hi=hi)
 
     @staticmethod

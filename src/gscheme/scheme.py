@@ -13,6 +13,9 @@ once per time step.  Two backends realize it:
 * an exact recombining lattice whose nodes are the distinct reachable
   positions (interpolation-free; displacements that are whole multiples of
   one quantum give one integer interval of nodes per level).
+
+Both, and ``forward_values`` off the grid, share one kernel, ``_sublinear_step``;
+they differ only in how an atom reads the previous level.
 """
 
 from __future__ import annotations
@@ -115,6 +118,17 @@ class SchemeConfig:
         return self._flat_nodes
 
 
+def _as_points(points, d: int) -> np.ndarray:
+    """Query points as an (N, d) array.  A scalar or a flat sequence holds N
+    points when d = 1 and one point otherwise; any other width is an error."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim < 2:
+        pts = pts.reshape((-1, 1) if d == 1 else (1, -1))
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ArgumentError(f"query points need {d} coordinates each, got shape {pts.shape}")
+    return pts
+
+
 def _cell(t: np.ndarray, lo: float, h: float, n: int):
     """Node index in [0, n-1] and fraction in [0, 1) of coordinates t on the
     uniform axis lo + k*h, k = 0..n-1, after the snap and the clamp.  A query
@@ -171,26 +185,23 @@ class GridFunction:
 
     config: SchemeConfig
     values: np.ndarray
-    time_stamp: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        expected = self.config.grid_n if self.config.d > 1 else (self.config.grid_n[0],)
-        if v.shape != tuple(expected):
-            raise ArgumentError(f"values shape {v.shape} does not match grid {expected}")
+        if v.shape != self.config.grid_n:
+            raise ArgumentError(f"values shape {v.shape} does not match grid {self.config.grid_n}")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def _adopt(cls, config: SchemeConfig, values: np.ndarray, time_stamp: float) -> GridFunction:
+    def _adopt(cls, config: SchemeConfig, values: np.ndarray) -> GridFunction:
         """Wrap a freshly computed array of the grid's shape without copying it;
         the caller must hold no other reference that writes to it."""
         obj = object.__new__(cls)
         values.setflags(write=False)
         object.__setattr__(obj, "config", config)
         object.__setattr__(obj, "values", values)
-        object.__setattr__(obj, "time_stamp", time_stamp)
         return obj
 
     def interp(self, points) -> np.ndarray:
@@ -199,21 +210,14 @@ class GridFunction:
         The grid is uniform per axis, so each query's cell index and fraction
         are computed directly (queries within 1e-9 cells of a node snap onto
         it; queries outside the box clamp to its face and return the face
-        node's value exactly).  In d = 1 the value is
-        ``v[i] + frac * (v[i+1] - v[i])``; in d > 1 the 2^d cell corners are
-        reduced by the same convex two-tap form one axis at a time, last axis
-        first, so no result can overshoot the surrounding node values.  On
+        node's value exactly).  The 2^d cell corners are reduced by the
+        convex two-tap form ``v[i] + frac * (v[i+1] - v[i])`` one axis at a
+        time, last axis first, so no result can overshoot the surrounding
+        node values.  ``points`` is laid out as ``_as_points`` reads it.  On
         the grid's own nodes ``GridStencil`` does the same lookup by slices.
         """
         cfg = self.config
-        v = self.values
-        if cfg.d == 1:
-            n = cfg.grid_n[0]
-            pts = np.atleast_1d(np.asarray(points, dtype=float))
-            i, frac = _cell(pts, cfg.grid_lo[0], cfg.spacing[0], n)
-            lo = v[i]
-            return lo + frac * (v[np.minimum(i + 1, n - 1)] - lo)
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _as_points(points, cfg.d)
         corners = np.zeros((1, pts.shape[0]), dtype=np.int64)
         fracs = []
         for axis in range(cfg.d):
@@ -224,9 +228,10 @@ class GridFunction:
             # the upper corner of a query on the upper face is the face node;
             # corners in C order: the last axis varies fastest
             step = np.where(i < n - 1, stride, 0)
-            corners = np.stack([corners, corners + step], axis=1).reshape(-1, pts.shape[0])
+            corners = np.stack([corners, corners + step], axis=1)
+            corners = corners.reshape(2 * len(corners), len(pts))
             fracs.append(frac)
-        corners = v.ravel()[corners]
+        corners = self.values.ravel()[corners]
         for frac in reversed(fracs):
             lo, hi = corners[0::2], corners[1::2]
             corners = lo + frac * (hi - lo)
@@ -236,13 +241,13 @@ class GridFunction:
         return float(np.min(self.values))
 
 
-def reachable_halfwidth(u: UncertaintySet, horizon: float, x_eval: float = 0.0) -> float:
-    """Half-width of a grid centred on x_eval that holds its reachable cone: drift
-    horizon * max|Y|, four spreads sqrt(horizon) * max|X|, margin |x_eval| + 1e-6."""
+def reachable_halfwidth(u: UncertaintySet, horizon: float) -> float:
+    """Half-width of a grid centred on its evaluation point that holds the reachable
+    cone: drift horizon * max|Y|, four spreads sqrt(horizon) * max|X|, margin 1e-6."""
     if not (0 < horizon < math.inf):
         raise ArgumentError(f"horizon must be positive and finite, got {horizon}")
     max_x, max_y = _atom_extent(u)
-    return abs(x_eval) + horizon * max_y + math.sqrt(horizon) * max_x * 4.0 + 1e-6
+    return horizon * max_y + math.sqrt(horizon) * max_x * 4.0 + 1e-6
 
 
 def _atom_extent(u: UncertaintySet) -> tuple[float, float]:
@@ -252,7 +257,9 @@ def _atom_extent(u: UncertaintySet) -> tuple[float, float]:
 
 
 def _shifts(u: UncertaintySet, delta: float):
-    """Per-measure lists of (shift vector, weight) with shift = sqrt(d)X + dY."""
+    """Per measure, its atoms' (k, d) shifts sqrt(delta)X + delta*Y and their weights."""
+    if not u.measures:
+        raise ConfigurationError("uncertainty set has no measures")
     root = math.sqrt(delta)
     out = []
     for xs, ys, ps in u.atom_arrays():
@@ -263,26 +270,34 @@ def _shifts(u: UncertaintySet, delta: float):
     return out
 
 
+def _sublinear_step(measures, look, out, acc, tmp) -> np.ndarray:
+    """Write into ``out`` the max over measures (keys, weights) of sum_a w_a * look(key_a).
+
+    ``look(key)`` reads the previous level through one atom: a stencil lookup,
+    an interpolation or a lattice level's children.  Measures after the first
+    sum in ``acc``; ``tmp`` holds a weighted term and may be what ``look`` returns.
+    """
+    for j, (keys, weights) in enumerate(measures):
+        total = out if j == 0 else acc
+        for a, (key, w) in enumerate(zip(keys, weights)):
+            if a == 0:
+                np.multiply(look(key), w, out=total)
+            else:
+                total += np.multiply(look(key), w, out=tmp)
+        if j:
+            np.maximum(out, total, out=out)
+    return out
+
+
 def forward_values(u: UncertaintySet, cfg: SchemeConfig, prev: GridFunction, points) -> np.ndarray:
     """One-step operator evaluated at arbitrary query points.
 
-    For each measure, every atom shifts all query points at once and the
-    previous level is interpolated there; the family maximum is taken nodewise.
+    Each atom shifts every query point at once and the previous level is
+    interpolated there; ``_sublinear_step`` sums and maximizes.
     """
-    if cfg.d == 1:
-        pts = np.atleast_1d(np.asarray(points, dtype=float))
-    else:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-    best = None
-    for shifts, ps in _shifts(u, cfg.delta):
-        acc = np.zeros(pts.shape[0])
-        for k in range(len(ps)):
-            s = shifts[k][0] if cfg.d == 1 else shifts[k]
-            acc += ps[k] * prev.interp(pts + s)
-        best = acc if best is None else np.maximum(best, acc)
-    if best is None:
-        raise ConfigurationError("uncertainty set has no measures")
-    return best
+    pts = _as_points(points, cfg.d)
+    out, acc, tmp = (np.empty(pts.shape[0]) for _ in range(3))
+    return _sublinear_step(_shifts(u, cfg.delta), lambda s: prev.interp(pts + s), out, acc, tmp)
 
 
 class GridStencil:
@@ -293,8 +308,8 @@ class GridStencil:
     fraction f (snapped as in ``GridFunction.interp``), computed once here.
     Applying it takes whole-array slices ``v[i+k] + f*(v[i+k+1] - v[i+k])``
     one axis at a time, last axis first; nodes whose query leaves the box
-    take the face value, which is the clamp-constant rule.  Each measure's
-    weighted lookups are summed and the family maximum taken nodewise.  The
+    take the face value, which is the clamp-constant rule.  ``_sublinear_step``
+    sums each measure's weighted lookups and takes the family maximum.  The
     operator owns its scratch arrays, so one instance serves one solve.
     """
 
@@ -304,10 +319,7 @@ class GridStencil:
         self.config = cfg
         self.measures = [([self.taps(row) for row in shifts], ps)
                          for shifts, ps in _shifts(u, cfg.delta)]
-        if not self.measures:
-            raise ConfigurationError("uncertainty set has no measures")
-        shape = cfg.grid_n if cfg.d > 1 else (cfg.grid_n[0],)
-        self._acc, self._look, self._spare = (np.empty(shape) for _ in range(3))
+        self._acc, self._look, self._spare = (np.empty(cfg.grid_n) for _ in range(3))
 
     def taps(self, shift) -> tuple[tuple[int, float], ...]:
         """Per axis, the whole cells k and fraction f of one shift vector."""
@@ -329,28 +341,19 @@ class GridStencil:
 
     def __call__(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the one-step operator applied to level v into ``out``."""
-        for j, (taps, ps) in enumerate(self.measures):
-            acc = out if j == 0 else self._acc
-            for a, (tap, p) in enumerate(zip(taps, ps)):
-                look = self.lookup(v, tap)
-                if a == 0:
-                    np.multiply(look, p, out=acc)
-                else:
-                    acc += np.multiply(look, p, out=self._look)
-            if j:
-                np.maximum(out, acc, out=out)
-        return out
+        return _sublinear_step(self.measures, lambda taps: self.lookup(v, taps), out,
+                               self._acc, self._look)
 
 
 def forward_operator(u: UncertaintySet, cfg: SchemeConfig, psi: GridFunction) -> GridFunction:
     """Apply the one-step operator on every grid node."""
     out = GridStencil(u, cfg)(psi.values, np.empty_like(psi.values))
-    return GridFunction._adopt(cfg, out, psi.time_stamp + cfg.delta)
+    return GridFunction._adopt(cfg, out)
 
 
 def scheme_residual(u: UncertaintySet, cfg: SchemeConfig, x, p: float, v: GridFunction) -> float:
     """Residual of the monotone scheme at one node: (p - one-step value at x) / delta."""
-    sv = forward_values(u, cfg, v, [x] if cfg.d > 1 else x)
+    sv = forward_values(u, cfg, v, x)
     return (p - float(sv[0])) / cfg.delta
 
 
@@ -389,23 +392,20 @@ class SchemeSolution:
         return self.steps[n - self.first_step]
 
     def value_at(self, t: float, x) -> float:
-        return float(self.at(t).interp(x)[0] if self.config.d == 1 else self.at(t).interp([x])[0])
+        return float(self.at(t).interp(x)[0])
 
     def dump_csv(self, path) -> None:
         """Per-step rows ``t,x_1..x_d,value`` for every grid node of every kept level."""
         cfg = self.config
         cols = ",".join(f"x_{i+1}" for i in range(cfg.d))
-        nodes = cfg.nodes()
+        nodes = _as_points(cfg.nodes(), cfg.d)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"t,{cols},value\n")
             for n, step in enumerate(self.steps, start=self.first_step):
                 t = n * cfg.delta
                 vals = step.values.ravel()
                 for i in range(vals.size):
-                    if cfg.d == 1:
-                        xrow = format(nodes[i], ".17g")
-                    else:
-                        xrow = ",".join(format(c, ".17g") for c in nodes[i])
+                    xrow = ",".join(format(c, ".17g") for c in nodes[i])
                     fh.write(f"{format(t, '.17g')},{xrow},{format(vals[i], '.17g')}\n")
 
 
@@ -427,10 +427,10 @@ def solve_grid(
         raise ConfigurationError(
             "family has mean uncertainty in X; the recursion requires E[X] = 0 under every measure"
         )
-    nodes = cfg.nodes()
-    vals = phi(nodes)
-    if cfg.d > 1:
-        vals = vals.reshape(cfg.grid_n)
+    vals = phi(cfg.nodes())
+    if vals.size != math.prod(cfg.grid_n):
+        raise EvaluationError(f"initial data gave {vals.size} values for grid {cfg.grid_n}")
+    vals = vals.reshape(cfg.grid_n)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("initial data evaluated non-finite on the grid")
     floor = phi.lower_bound - LOWER_BOUND_SLACK
@@ -438,7 +438,7 @@ def solve_grid(
         raise EvaluationError(
             f"initial data dips below its declared lower bound {phi.lower_bound}"
         )
-    first = GridFunction(cfg, vals, time_stamp=0.0)
+    first = GridFunction(cfg, vals)
     step = GridStencil(u, cfg)
     n_steps = int(math.floor(cfg.horizon / cfg.delta + 1e-9))
 
@@ -449,14 +449,14 @@ def solve_grid(
 
     if keep == "all":
         steps = [first]
-        for n in range(1, n_steps + 1):
+        for _ in range(n_steps):
             out = checked(step(steps[-1].values, np.empty_like(first.values)))
-            steps.append(GridFunction._adopt(cfg, out, n * cfg.delta))
+            steps.append(GridFunction._adopt(cfg, out))
         return SchemeSolution(cfg, u, phi, steps)
     cur, nxt = first.values.copy(), np.empty_like(first.values)
     for _ in range(n_steps):
         cur, nxt = checked(step(cur, nxt)), cur
-    last = GridFunction._adopt(cfg, cur, n_steps * cfg.delta)
+    last = GridFunction._adopt(cfg, cur)
     return SchemeSolution(cfg, u, phi, [last], first_step=n_steps)
 
 
@@ -531,8 +531,9 @@ def solve_lattice(
     the distinct displacements z.  The leaves evaluate phi at their summed
     positions; each backward step takes, per displacement, the child values
     by one slice (or one gather where the children are not contiguous) and
-    then the family maximum of the weighted sums.  No interpolation is
-    involved, so the result realizes the recursion exactly at x0.
+    hands them to ``_sublinear_step``, which writes into two buffers sized
+    to the widest level in turn.  No interpolation is involved, so the
+    result realizes the recursion exactly at x0.
 
     Raises ResourceLimitError when a level would hold more than ``node_cap``
     nodes, or when a family over the cap by its multiset count needs more
@@ -586,18 +587,15 @@ def solve_lattice(
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("initial data evaluated non-finite on the lattice")
     levels = [LatticeState(x0, disp, n_steps, pos, vals)] if keep_levels else None
+    widest = max(size for size, _ in links)
+    ping, pong, acc, tmp = (np.empty(widest) for _ in range(4))
     for j in range(n_steps - 1, -1, -1):
         size, refs = links[j]
         child = [vals[r] for r in refs]
-        best = None
-        for atom_idx, ps in tables:
-            acc = np.zeros(size)
-            for a, w in zip(atom_idx, ps):
-                acc += w * child[a]
-            best = acc if best is None else np.maximum(best, acc)
-        vals = best
+        out = (ping, pong)[j % 2][:size]
+        vals = _sublinear_step(tables, child.__getitem__, out, acc[:size], tmp[:size])
         if keep_levels:
-            levels.append(LatticeState(x0, disp, j, positions[j], vals))
+            levels.append(LatticeState(x0, disp, j, positions[j], vals.copy()))
 
-    final = LatticeState(x0, disp, 0, positions[0], vals)
+    final = LatticeState(x0, disp, 0, positions[0], vals.copy())
     return LatticeResult(float(vals[0]), final, tuple(levels) if keep_levels else None)

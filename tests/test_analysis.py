@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -159,6 +160,32 @@ class TestComparison:
             over = shift_in_time(small_solution(other, family=u), a2)
             ok, viol = gs.check_comparison(under, over, a1, a2)
             assert ok and viol <= 1e-9
+
+    @pytest.mark.parametrize("h", [lambda t: 0.0, [0.0] * 8, np.zeros(161), "0", math.nan,
+                                   math.inf, 1j],
+                             ids=["callable", "list", "array", "str", "nan", "inf", "complex"])
+    def test_h_must_be_a_finite_real(self, h):
+        sol = small_solution(gs.builtin_phi("abs"))
+        with pytest.raises(gs.ArgumentError, match="h1"):
+            gs.check_comparison(sol, sol, h, 0.0)
+        with pytest.raises(gs.ArgumentError, match="h2"):
+            gs.check_comparison(sol, sol, 0.0, h)
+
+    def test_memory_above_the_levels_is_a_few_levels(self):
+        import tracemalloc
+
+        phi = gs.builtin_phi("capped-relu")
+        under = small_solution(phi, delta=1 / 64, half=4.0, n=2001)
+        over = small_solution(gs.InitialData("lifted", lambda x: phi(x) + 0.1, 0.0), delta=1 / 64,
+                              half=4.0, n=2001)
+        tracemalloc.start()
+        try:
+            ok, worst = gs.check_comparison(under, over, 0.0, 0.0)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ok and worst == pytest.approx(-0.1, abs=1e-12)
+        assert peak < 16 * under.steps[0].values.nbytes
 
 
 class TestModulus:

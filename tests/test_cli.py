@@ -255,6 +255,7 @@ _CLT = ["clt", "--family", "builtin:pm-sigma", "--sigma-lo", "0.1", "--sigma-hi"
         "--phi", "capped-relu", "--n-list", "2,4,8"]
 _BSB = ["bsb", "--sigma-lo", "0.1", "--sigma-hi", "0.3", "--K", "1", "--payoff", "put",
         "--s0", "1", "--delta", "0.01"]  # argparse keeps the last of a repeated option
+_PM = ["--family", "builtin:pm-sigma", "--sigma-lo", "0.1", "--sigma-hi", "0.3"]
 
 
 @pytest.mark.parametrize("argv, names", [
@@ -267,11 +268,45 @@ _BSB = ["bsb", "--sigma-lo", "0.1", "--sigma-hi", "0.3", "--K", "1", "--payoff",
     (_BSB + ["--r", "0.05", "--T", "1", "--K", "nan"], "strike"),
     (["gheat", "--family", "builtin:pm-sigma", "--sigma-lo", "0.2", "--sigma-hi", "0.2",
       "--phi", "abs", "--delta", "0.25", "--T", "nan"], "horizon"),
+    (["clt", "--phi", "relu", "--n-list", ","] + _PM, "--n-list"),
+    (["lln", "--family", "builtin:lln-box", "--n-list", "4,x"], "--n-list"),
+    (["consistency", "--delta-list", "abc"] + _PM, "--delta-list"),
+    (["consistency", "--delta-list", ","] + _PM, "--delta-list"),
+    (["consistency", "--delta-list", "0.25,nan"] + _PM, "--delta-list"),
+    (["oracle", "--which", "bs", "--K", "nan"], "finite"),
+    (["oracle", "--which", "bs", "--r", "inf"], "finite"),
+    (["oracle", "--which", "normal", "--sigma", "nan"], "sigma"),
+    (["oracle", "--which", "maximal", "--theta-lo", "nan"], "box"),
+    (["bounds", "--cphi", "nan", "--beta", "1", "--T", "1"] + _PM, "c_phi"),
+    (["bounds", "--cphi", "1", "--beta", "1", "--T", "nan"] + _PM, "T must"),
+    (["bounds", "--cphi", "1", "--beta", "1", "--T", "inf"] + _PM, "T must"),
 ], ids=["clt-delta-ref-0", "clt-delta-ref-nan", "clt-delta-ref-neg", "bsb-T-nan",
-        "bsb-r-nan", "bsb-s0-nan", "bsb-K-nan", "gheat-T-nan"])
+        "bsb-r-nan", "bsb-s0-nan", "bsb-K-nan", "gheat-T-nan", "clt-empty-n-list",
+        "lln-bad-n-list", "consistency-bad-delta", "consistency-empty-delta",
+        "consistency-nan-delta", "oracle-bs-K-nan", "oracle-bs-r-inf", "oracle-normal-sigma-nan",
+        "oracle-maximal-theta-nan", "bounds-cphi-nan", "bounds-T-nan", "bounds-T-inf"])
 def test_out_of_range_numbers_exit_1(capsys, argv, names):
     rc = main(argv)
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert names in err
+
+
+_DEGENERATE_BSB = ["bsb", "--r", "0.05", "--sigma-lo", "0.2", "--sigma-hi", "0.2", "--T", "1",
+                   "--K", "1", "--payoff", "put", "--s0", "1", "--delta", "0.25", "--nsigma", "1"]
+
+
+@pytest.mark.parametrize("backend", ["exact", "auto"])
+def test_bsb_dump_steps_needs_the_grid_backend(tmp_path, capsys, backend):
+    dump = tmp_path / "steps.csv"
+    rc = main(_DEGENERATE_BSB + ["--backend", backend, "--dump-steps", str(dump)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --dump-steps")
+    assert not dump.exists()
+    # the grid backend dumps the levels it priced on
+    assert main(_DEGENERATE_BSB + ["--backend", "grid", "--dump-steps", str(dump)]) == 0
+    grid_price = capsys.readouterr().out
+    assert main(_DEGENERATE_BSB + ["--backend", "grid"]) == 0
+    assert capsys.readouterr().out == grid_price
+    assert dump.read_text().startswith("t,x_1,value\n")

@@ -92,6 +92,12 @@ class TestCltFunctional:
         with pytest.raises(gs.EvaluationError):
             gs.clt_functional(u, 8, phi, backend=backend)
 
+    @pytest.mark.parametrize("grid_h", [0.0, -1e-3, math.nan, math.inf])
+    def test_grid_h_must_be_positive_and_finite(self, grid_h):
+        u = gs.pm_sigma_family([0.1, 0.3])
+        with pytest.raises(gs.ArgumentError, match="grid_h"):
+            gs.clt_functional(u, 4, gs.builtin_phi("capped-relu"), backend="grid", grid_h=grid_h)
+
     def test_rejects_mean_uncertain_x(self):
         biased = gs.UncertaintySet((gs.DiscreteMeasure((gs.Atom([0.3], [0.0], 1.0),)),), d=1)
         with pytest.raises(gs.ConfigurationError):

@@ -272,6 +272,42 @@ def test_stencil_matches_interp(rng, d):
             assert np.array_equal(lookup(shift)[out], interp_on_nodes(g, shift)[out])
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_forward_values_on_nodes_match_forward_operator(rng, d):
+    # the off-grid operator, queried at the nodes, against the stencil operator
+    cfg = random_grid(rng, d)
+    for _ in range(5):
+        u = make_random_family(rng, d=d)
+        while len(u.measures) < 2:
+            u = make_random_family(rng, d=d)
+        g = gs.GridFunction(cfg, rng.normal(size=cfg.grid_n))
+        on_nodes = gs.forward_operator(u, cfg, g).values
+        off_grid = gs.forward_values(u, cfg, g, cfg.nodes()).reshape(cfg.grid_n)
+        assert np.max(np.abs(off_grid - on_nodes)) <= 1e-12 * np.max(np.abs(g.values))
+
+
+def test_queries_of_the_wrong_width_are_rejected(rng):
+    cfg2 = random_grid(rng, 2)
+    g2 = gs.GridFunction(cfg2, rng.normal(size=cfg2.grid_n))
+    u2 = make_random_family(rng, d=2)
+    for bad in (np.zeros((5, 3)), [0.1, 0.2, 0.3, 0.4], 0.5, np.zeros((2, 2, 2))):
+        with pytest.raises(gs.ArgumentError, match="2 coordinates"):
+            g2.interp(bad)
+        with pytest.raises(gs.ArgumentError, match="2 coordinates"):
+            gs.forward_values(u2, cfg2, g2, bad)
+    # one point as a flat pair, several as rows
+    assert g2.interp([0.1, 0.2]).shape == (1,)
+    assert g2.interp(np.zeros((7, 2))).shape == (7,)
+    cfg1 = random_grid(rng, 1)
+    g1 = gs.GridFunction(cfg1, rng.normal(size=cfg1.grid_n))
+    with pytest.raises(gs.ArgumentError, match="1 coordinates"):
+        g1.interp(np.zeros((4, 2)))
+    # in d = 1 a flat sequence is that many points, and a column the same points
+    pts = rng.uniform(-3.0, 3.0, size=9)
+    assert np.array_equal(g1.interp(pts), g1.interp(pts[:, None]))
+    assert g1.interp(0.3).shape == (1,)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_solve_grid_keep_last_matches_all(rng, d):
     u = make_random_family(rng, d=d, zero_mean_x=True)
