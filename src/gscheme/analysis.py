@@ -15,6 +15,8 @@ from .scheme import GridStencil, SchemeSolution
 from .uncertainty import Atom, DiscreteMeasure, UncertaintySet, sublinear_expect
 
 SLOPE_SLACK = 0.15
+# how far a residual may pass h1 or h2 before check_comparison's precondition fails
+PRECONDITION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class ExperimentResult:
         return np.array([r.resolution for r in self.rows])
 
 
-def fit_rate(pairs, target: float | None = None, slack: float = SLOPE_SLACK, bounds=None,
+def fit_rate(pairs, target: float | None = None, slack: float = SLOPE_SLACK,
              label: str = "") -> ExperimentResult:
     """Least-squares slope of log error against log resolution.
 
@@ -55,10 +57,7 @@ def fit_rate(pairs, target: float | None = None, slack: float = SLOPE_SLACK, bou
     if len({r for r, _ in pairs}) != len(pairs):
         raise ArgumentError("resolutions must be distinct")
     pairs.sort(key=lambda p: -p[0])
-    if bounds is None:
-        rows = tuple(ExperimentRow(r, e) for r, e in pairs)
-    else:
-        rows = tuple(ExperimentRow(r, e, float(b)) for (r, e), b in zip(pairs, bounds))
+    rows = tuple(ExperimentRow(r, e) for r, e in pairs)
     usable = [(r, e) for r, e in pairs if e > 1e-14]
     if len(usable) < 3:
         slope, intercept = 0.0, 0.0
@@ -116,7 +115,6 @@ def check_comparison(
     h1: float = 0.0,
     h2: float = 0.0,
     slack: float = 1e-9,
-    precondition_tol: float = 1e-9,
 ):
     """Discrete comparison check between a subsolution and a supersolution.
 
@@ -143,12 +141,12 @@ def check_comparison(
     over_step = GridStencil(over.family, over.config)
     for n in interior:
         excess = float(np.max(_residual_series(under, under_step, n))) - h1
-        if excess > precondition_tol:
+        if excess > PRECONDITION_TOL:
             raise PreconditionError(
                 f"under-solution residual exceeds h1 at step {n} by {excess:.3e}"
             )
         shortfall = float(np.min(_residual_series(over, over_step, n))) - h2
-        if shortfall < -precondition_tol:
+        if shortfall < -PRECONDITION_TOL:
             raise PreconditionError(
                 f"over-solution residual undercuts h2 at step {n} by {-shortfall:.3e}"
             )

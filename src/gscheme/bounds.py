@@ -40,9 +40,10 @@ class SmoothFunction:
     norms: dict
     sample_region: tuple[float, float]
 
-    def sample_points(self, n: int = 241) -> np.ndarray:
+    def sample_points(self) -> np.ndarray:
+        """241 evenly spaced points spanning ``sample_region``."""
         lo, hi = self.sample_region
-        return np.linspace(lo, hi, n)
+        return np.linspace(lo, hi, 241)
 
 
 def gaussian_bump() -> SmoothFunction:
@@ -83,9 +84,9 @@ def cubic_spline_psi() -> SmoothFunction:
         "d3": float(np.max(np.abs(d3(knots[:-1] + 1e-9)))),
     }
 
-    def clamped(f, outside=0.0):
+    def clamped(f):
         def call(x):
-            return float(f(x)) if -4.0 <= x <= 4.0 else outside
+            return float(f(x)) if -4.0 <= x <= 4.0 else 0.0
 
         return call
 
@@ -167,8 +168,8 @@ def _bump_masses() -> list[float]:
 
 
 @lru_cache(maxsize=None)
-def compute_c_rho(d: int = 1) -> float:
-    """Total derivative mass of the normalized space-time bump mollifier.
+def compute_c_rho() -> float:
+    """Total derivative mass of the normalized space-time bump mollifier (d = 1).
 
     The mollifier factorizes as rho(t, x) = K * g(x) * g(2t + 1) with
     g(s) = exp(-1/(1-s^2)), so every needed mixed-derivative L1 norm reduces
@@ -176,8 +177,6 @@ def compute_c_rho(d: int = 1) -> float:
     :func:`_bump_masses` with numpy alone.  Returns the sum of the five
     derivative masses entering the lower/upper error-bound constants.
     """
-    if d != 1:
-        raise UnsupportedError("the mollifier constant is computed for d = 1 only")
     i0, i1, i2, i3 = _bump_masses()
     # mass normalization: K * i0 * (i0 / 2) = 1
     d3x = i3 / i0

@@ -198,14 +198,14 @@ def _exact_binomial_value(spec: BsbSpec, x0: float, phi: InitialData) -> float:
     return float(v[0])
 
 
-def aligned_spacing(spec: BsbSpec, delta: float, cells_per_step: int = 4) -> float:
-    """Spacing h that makes the smallest volatility move sigma_lo sqrt(delta) span exact cells.
+def aligned_spacing(spec: BsbSpec, delta: float) -> float:
+    """Spacing h that makes the smallest volatility move sigma_lo sqrt(delta) span four cells.
 
     With sigma ratios on a half-integer ladder (odd n_sigma here), every sigma sqrt(delta)
     is then a whole number of cells of h.  Moves still miss the nodes: ``default_grid``'s
     spacing is only near h, and no move's drift delta (r - sigma^2/2) is whole cells.
     """
-    return spec.sigma_lo * math.sqrt(delta) / cells_per_step
+    return spec.sigma_lo * math.sqrt(delta) / 4
 
 
 def _grid_solution(spec: BsbSpec, s0: float, h: float | None = None,
@@ -270,23 +270,21 @@ def bsb_rate_experiment(
     deltas,
     target_slope: float = 0.25,
     slack: float = 0.15,
-    query_halfwidth: float = 0.5,
-    n_query: int = 41,
     reference_refinement: float = 8.0,
 ) -> ExperimentResult:
     """Convergence study of the price surface in the time step.
 
-    The error per time step is the sup over a band of log-price query points
-    of the gap to a Richardson-extrapolated fine reference, matching the
-    sup-norm form of the convergence claims and averaging out single-point
-    lattice-phase oscillation.  Passes when the fitted slope clears
+    The error per time step is the sup over 41 log-price query points within
+    0.5 of log s0 of the gap to a Richardson-extrapolated fine reference,
+    matching the sup-norm form of the convergence claims and averaging out
+    single-point lattice-phase oscillation.  Passes when the fitted slope clears
     target_slope - slack and the errors decrease monotonically.
     """
     deltas = sorted({float(d) for d in deltas}, reverse=True)
     if len(deltas) < 3:
         raise ArgumentError("need at least 3 time steps")
     x0 = math.log(s0)
-    query_x = np.linspace(x0 - query_halfwidth, x0 + query_halfwidth, n_query)
+    query_x = np.linspace(x0 - 0.5, x0 + 0.5, 41)
     ref = richardson_reference_curve(spec, s0, query_x, deltas[-1] / reference_refinement)
     if ref.warning:
         log.warning("bsb_rate_experiment: reference refinement does not contract (estimate "

@@ -12,7 +12,6 @@ import argparse
 import math
 import sys
 
-from ._util import fmt17
 from .analysis import ExperimentResult
 from .bounds import (
     BoundsReport,
@@ -36,7 +35,10 @@ from .oracles import (
 from .scheme import SchemeConfig, SchemeSolution, reachable_halfwidth, solve_grid
 from .uncertainty import load_measures, validate
 
-SUBCOMMANDS = ("gheat", "clt", "lln", "bsb", "bounds", "consistency", "oracle")
+
+def fmt17(x: float) -> str:
+    """Round-trip-exact decimal rendering (17 significant digits)."""
+    return format(float(x), ".17g")
 
 
 def _family_options(p, need_theta=False):
@@ -101,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     _family_options(p)
     p.add_argument("--phi", required=True)
     p.add_argument("--n-list", required=True)
-    p.add_argument("--cphi", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--cphi", type=float, help="default: the Holder constant phi declares")
+    p.add_argument("--beta", type=float, help="default: the Holder exponent phi declares")
     p.add_argument("--delta-ref", type=float, default=None,
                    help="time step of the fine reference solve (default 1/4096)")
     p.add_argument("--out", default=None)
@@ -140,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     _family_options(p)
     p.add_argument("--psi", choices=("gauss", "sin"), default="gauss")
     p.add_argument("--delta-list", default="0.25,0.125,0.0625,0.03125")
-    p.add_argument("--variant", default="prop51_ii",
-                   choices=("prop51_i", "prop51_ii", "prop52_iii_a", "prop52_iii_b", "appendix"))
+    # the variants whose seminorms both --psi choices declare
+    p.add_argument("--variant", default="prop51_ii", choices=("prop51_ii", "appendix"))
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("oracle", help="reference-value diagnostics")
@@ -251,11 +253,20 @@ def _run(ns: argparse.Namespace) -> int:
     if cmd == "clt":
         u = _load_family(ns)
         phi = builtin_phi(ns.phi)
+        # resolved before _sidecar, which records the values the bound used
+        ns.cphi = phi.c_phi if ns.cphi is None else ns.cphi
+        ns.beta = phi.beta if ns.beta is None else ns.beta
+        if ns.cphi is None:
+            raise ArgumentError(f"phi {ns.phi!r} declares no Holder constant; pass --cphi")
         n_list = _parse_list(ns.n_list, "--n-list")
         moments = validate(u)
         report = compute_constants(moments, ns.cphi, ns.beta, 1.0)
         ref = fine_grid_reference(u, phi, 1.0, 0.0, delta_ref=ns.delta_ref,
                                   target_delta=1.0 / max(n_list))
+        if ref.warning:
+            print(f"warning: reference refinement does not contract (estimate "
+                  f"{ref.accuracy:.2e}, fitted order {ref.meta['fitted_order']:.4g}); "
+                  "its value is the finest solve", file=sys.stderr)
         result = clt_experiment(u, phi, n_list, ref, report.c_explicit, beta=ns.beta)
         _print_experiment(result)
         print(f"reference {fmt17(ref.value)} (accuracy {ref.accuracy:.2e}, {ref.method})")

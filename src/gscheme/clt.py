@@ -85,7 +85,6 @@ def lln_experiment(
     theta: ThetaSet,
     n_list,
     phi: InitialData | None = None,
-    slope_limit: float = -0.35,
 ) -> ExperimentResult:
     """Mean-uncertainty convergence experiment.
 
@@ -93,7 +92,7 @@ def lln_experiment(
     the normalized sum to theta, C n^{-1/2}) where C is measured at the first
     n.  A general phi switches the error to the gap against the maximum of phi
     over theta.  Passes when every error sits under its bound and the fitted
-    slope is at most ``slope_limit``.
+    slope is at most -0.35.
     """
     _check_component_zero(u, "X")
     n_list = sorted(int(n) for n in n_list)
@@ -124,7 +123,7 @@ def lln_experiment(
     if all(e <= 1e-14 for e in errors):
         passed = True
     else:
-        passed = all(r.error <= r.bound + 1e-14 for r in rows) and fit.fitted_slope <= slope_limit
+        passed = all(r.error <= r.bound + 1e-14 for r in rows) and fit.fitted_slope <= -0.35
     return ExperimentResult(rows, fit.fitted_slope, fit.fitted_intercept, passed, "lln")
 
 

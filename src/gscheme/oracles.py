@@ -21,7 +21,7 @@ from .uncertainty import UncertaintySet
 @dataclass(frozen=True)
 class ReferenceSolution:
     value: float
-    method: str  # closed_form_bs | classical_normal | fine_grid_gheat | brute_force_tree | maximal_sup
+    method: str  # classical_normal | fine_grid_gheat
     accuracy: float
     meta: dict = field(default_factory=dict)
     warning: bool = False
@@ -36,10 +36,8 @@ def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def bs_closed_form(r: float, sigma: float, T: float, K: float, s0: float, kind: str = "put") -> float:
+def bs_closed_form(r: float, sigma: float, T: float, K: float, s0: float) -> float:
     """Closed-form European put under a single lognormal volatility."""
-    if kind != "put":
-        raise UnsupportedError(f"only kind='put' is supported, got {kind!r}")
     if not all(math.isfinite(v) for v in (r, sigma, T, K, s0)):
         raise ArgumentError("r, sigma, T, K and s0 must be finite")
     if sigma <= 0 or T <= 0:
@@ -54,15 +52,17 @@ def bs_closed_form(r: float, sigma: float, T: float, K: float, s0: float, kind: 
     return K * math.exp(-r * T) * norm_cdf(-d2) - s0 * norm_cdf(-d1)
 
 
-def brute_force_tree(
-    u: UncertaintySet, delta: float, n: int, x0, phi: InitialData, path_cap: int = 1_000_000
-) -> float:
+# the most full paths ``brute_force_tree`` enumerates before it refuses
+PATH_CAP = 1_000_000
+
+
+def brute_force_tree(u: UncertaintySet, delta: float, n: int, x0, phi: InitialData) -> float:
     """Unrolled nested max-expectation over full (non-recombined) paths."""
     if n < 1 or n > 4:
         raise ArgumentError(f"brute force supports 1 <= n <= 4, got {n}")
     total_atoms = sum(len(m.atoms) for m in u.measures)
-    if total_atoms**n > path_cap:
-        raise ResourceLimitError(f"{total_atoms ** n} paths exceed cap {path_cap}")
+    if total_atoms**n > PATH_CAP:
+        raise ResourceLimitError(f"{total_atoms ** n} paths exceed cap {PATH_CAP}")
     root = math.sqrt(delta)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
@@ -219,21 +219,21 @@ class ThetaSet:
         return self.distance(y) <= tol
 
 
-def maximal_sup(theta: ThetaSet, phi, n_grid: int = 2**14, refine: bool = True) -> float:
-    """Maximum of phi over the set: dense grid plus one local refinement pass
-    for boxes, exact enumeration for point clouds."""
+def maximal_sup(theta: ThetaSet, phi) -> float:
+    """Maximum of phi over the set: dense grid (2^14 points in d = 1, 2^7 per
+    axis otherwise) plus one local refinement pass for boxes, exact
+    enumeration for point clouds."""
     if theta.kind == "points":
         vals = [float(np.atleast_1d(phi(p if theta.d == 1 else p[None, :]))[0])
                 for p in theta.points]
         return max(vals)
-    if theta.d != 1:
-        n_grid = min(n_grid, 2**7)
+    n_grid = 2**14 if theta.d == 1 else 2**7
     axes = [np.linspace(lo, hi, n_grid) if hi > lo else np.array([lo]) for lo, hi in zip(theta.lo, theta.hi)]
     if theta.d == 1:
         grid = axes[0]
         vals = np.asarray(phi(grid), dtype=float)
         best = float(np.max(vals))
-        if refine and grid.size > 2:
+        if grid.size > 2:
             i = int(np.argmax(vals))
             lo = grid[max(0, i - 1)]
             hi = grid[min(grid.size - 1, i + 1)]
@@ -243,16 +243,12 @@ def maximal_sup(theta: ThetaSet, phi, n_grid: int = 2**14, refine: bool = True) 
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     vals = np.asarray(phi(pts), dtype=float)
-    best = float(np.max(vals))
-    if refine:
-        i = int(np.argmax(vals))
-        center = pts[i]
-        span = np.array([(hi - lo) / max(n_grid - 1, 1) for lo, hi in zip(theta.lo, theta.hi)])
-        fine_axes = [
-            np.linspace(max(c - s, lo), min(c + s, hi), 65)
-            for c, s, lo, hi in zip(center, span, theta.lo, theta.hi)
-        ]
-        mesh = np.meshgrid(*fine_axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        best = max(best, float(np.max(np.asarray(phi(pts), dtype=float))))
-    return best
+    center = pts[int(np.argmax(vals))]
+    span = np.array([(hi - lo) / (n_grid - 1) for lo, hi in zip(theta.lo, theta.hi)])
+    fine_axes = [
+        np.linspace(max(c - s, lo), min(c + s, hi), 65)
+        for c, s, lo, hi in zip(center, span, theta.lo, theta.hi)
+    ]
+    mesh = np.meshgrid(*fine_axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    return max(float(np.max(vals)), float(np.max(np.asarray(phi(pts), dtype=float))))

@@ -61,7 +61,6 @@ class SchemeConfig:
     grid_lo: tuple[float, ...]
     grid_hi: tuple[float, ...]
     grid_n: tuple[int, ...]
-    extrapolation: str = "clamp-constant"
 
     def __post_init__(self):
         lo = tuple(float(v) for v in np.atleast_1d(self.grid_lo))
@@ -82,8 +81,6 @@ class SchemeConfig:
             raise ArgumentError("grid_lo must be finite and strictly below finite grid_hi")
         if any(k < 2 for k in n):
             raise ArgumentError("grid_n must be at least 2 per axis")
-        if self.extrapolation != "clamp-constant":
-            raise ArgumentError(f"unknown extrapolation rule {self.extrapolation!r}")
 
     @property
     def d(self) -> int:
@@ -236,9 +233,6 @@ class GridFunction:
             lo, hi = corners[0::2], corners[1::2]
             corners = lo + frac * (hi - lo)
         return corners[0]
-
-    def min_value(self) -> float:
-        return float(np.min(self.values))
 
 
 def reachable_halfwidth(u: UncertaintySet, horizon: float) -> float:
@@ -480,7 +474,6 @@ class LatticeState:
 @dataclass(frozen=True)
 class LatticeResult:
     value: float
-    final: LatticeState
     levels: tuple[LatticeState, ...] | None = None
 
 
@@ -596,6 +589,4 @@ def solve_lattice(
         vals = _sublinear_step(tables, child.__getitem__, out, acc[:size], tmp[:size])
         if keep_levels:
             levels.append(LatticeState(x0, disp, j, positions[j], vals.copy()))
-
-    final = LatticeState(x0, disp, 0, positions[0], vals.copy())
-    return LatticeResult(float(vals[0]), final, tuple(levels) if keep_levels else None)
+    return LatticeResult(float(vals[0]), tuple(levels) if keep_levels else None)

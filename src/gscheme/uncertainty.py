@@ -111,16 +111,16 @@ class UncertaintySet:
             d = measures[0].atoms[0].x.size
         object.__setattr__(self, "d", int(d))
 
-    def no_mean_uncertainty(self, tol: float = MEAN_TOL) -> bool:
-        """True iff every measure gives X a componentwise-zero mean."""
+    def no_mean_uncertainty(self) -> bool:
+        """True iff every measure gives X a mean within ``MEAN_TOL`` of zero per component."""
         for m in self.measures:
             mean = m.ps @ m.xs
-            if np.any(np.abs(mean) > tol):
+            if np.any(np.abs(mean) > MEAN_TOL):
                 return False
         return True
 
     def atom_arrays(self):
-        """Per-measure (xs, ys, ps) arrays, cached for vectorized shifting."""
+        """Per-measure (xs, ys, ps) arrays for vectorized shifting, built anew on every call."""
         return [(m.xs, m.ys, m.ps) for m in self.measures]
 
 

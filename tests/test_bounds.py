@@ -71,10 +71,6 @@ class TestMollifierConstant:
                           limit=400, epsrel=1e-10, epsabs=0.0)
             assert exact[k] == pytest.approx(val, rel=1e-9), k
 
-    def test_only_one_dimensional(self):
-        with pytest.raises(gs.UnsupportedError):
-            gs.compute_c_rho(d=2)
-
 
 class TestConsistencyError:
     def test_affine_psi_is_exact(self):

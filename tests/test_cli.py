@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 import gscheme as gs
-from gscheme.cli import emit_csv, main, parse_args, parse_csv
+from gscheme import cli
+from gscheme.cli import build_parser, emit_csv, main, parse_args, parse_csv
 
 
 def run_cli(*args):
@@ -310,3 +312,61 @@ def test_bsb_dump_steps_needs_the_grid_backend(tmp_path, capsys, backend):
     assert main(_DEGENERATE_BSB + ["--backend", "grid"]) == 0
     assert capsys.readouterr().out == grid_price
     assert dump.read_text().startswith("t,x_1,value\n")
+
+
+def _choices(subcommand, flag):
+    """The choices argparse offers for one option of one subcommand."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[subcommand]._actions if flag in a.option_strings).choices
+
+
+@pytest.mark.parametrize("psi", _choices("consistency", "--psi"))
+@pytest.mark.parametrize("variant", _choices("consistency", "--variant"))
+def test_every_consistency_choice_runs(capsys, variant, psi):
+    rc = main(["consistency", "--variant", variant, "--psi", psi] + _PM)
+    assert rc in (0, 3), capsys.readouterr().err
+    assert f"consistency[{variant}]:" in capsys.readouterr().out
+
+
+_CLT_COARSE = _CLT + ["--delta-ref", "0.00390625"]
+
+
+def test_clt_takes_cphi_and_beta_from_phi(tmp_path, monkeypatch):
+    out = tmp_path / "clt.csv"
+    assert main(_CLT_COARSE + ["--out", str(out)]) == 0
+    assert "--beta=1.0 --cphi=1.0" in out.read_text().splitlines()[0]
+    # a phi declaring other values gets a bound built from them
+    holder = gs.InitialData("holder", gs.capped_relu().fn, 0.0, c_phi=2.0, beta=0.5)
+    monkeypatch.setattr(cli, "builtin_phi", lambda name: holder)
+    assert main(_CLT_COARSE + ["--out", str(out)]) in (0, 3)
+    assert "--beta=0.5 --cphi=2.0" in out.read_text().splitlines()[0]
+    c_explicit = gs.compute_constants(
+        gs.validate(gs.pm_sigma_family([0.1, 0.3])), 2.0, 0.5, 1.0).c_explicit
+    _header, rows = parse_csv(out)
+    for n, _error, bound in rows:
+        assert bound == c_explicit * n ** (-0.5 / 6.0)
+
+
+def test_clt_needs_cphi_when_phi_declares_none(capsys):
+    square = ["clt", "--phi", "square", "--n-list", "2,4,8", "--delta-ref", "0.00390625"] + _PM
+    assert main(square) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--cphi" in err
+    assert main(square + ["--cphi", "1"]) in (0, 3)
+
+
+def test_clt_warns_when_the_reference_does_not_contract(tmp_path, capsys, monkeypatch):
+    def reference(warning):
+        return gs.ReferenceSolution(0.1196, "fine_grid_gheat", 2.5e-4, {"fitted_order": -1.4},
+                                    warning=warning)
+
+    runs = []
+    for warning in (False, True):
+        monkeypatch.setattr(cli, "fine_grid_reference", lambda *a, **k: reference(warning))
+        out = tmp_path / f"clt-{warning}.csv"
+        assert main(_CLT + ["--out", str(out)]) == 0
+        runs.append((capsys.readouterr(), out.read_bytes()))
+    (quiet, quiet_csv), (loud, loud_csv) = runs
+    assert quiet.err == ""
+    assert loud.out == quiet.out and loud_csv == quiet_csv
+    assert loud.err.startswith("warning:") and "2.50e-04" in loud.err and "-1.4" in loud.err

@@ -24,10 +24,6 @@ class TestBlackScholes:
         assert gs.bs_closed_form(0.05, 0.2, 1e-10, 1.2, 1.0) == pytest.approx(0.2, abs=1e-5)
         assert gs.bs_closed_form(0.05, 0.2, 1e-10, 0.8, 1.0) == pytest.approx(0.0, abs=1e-8)
 
-    def test_only_puts(self):
-        with pytest.raises(gs.UnsupportedError):
-            gs.bs_closed_form(0.05, 0.2, 1.0, 1.0, 1.0, kind="call")
-
 
 class TestBruteForceTree:
     def test_single_step_equals_expectation(self, rng):

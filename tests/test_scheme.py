@@ -152,7 +152,7 @@ def test_lower_bound_preserved(rng):
     phi = gs.builtin_phi("capped-relu")
     sol = gs.solve_grid(u, cfg, phi)
     for step in sol.steps:
-        assert step.min_value() >= 0.0 - 1e-9
+        assert np.min(step.values) >= 0.0 - 1e-9
 
 
 def test_grid_function_immutable():
@@ -377,7 +377,7 @@ def test_lattice_recombination_counts(rng):
     for u in (u_rand, gs.pm_sigma_family([0.1, 0.3])):
         n = 5
         res = gs.solve_lattice(u, delta, n, [x0], phi, keep_levels=True)
-        disp = res.final.displacements[:, 0].tolist()
+        disp = res.levels[0].displacements[:, 0].tolist()
         m = len(disp)
         assert [level.step for level in res.levels] == list(range(n, -1, -1))
         for level in res.levels:
