@@ -210,15 +210,14 @@ def parse_csv(path):
     return header, rows
 
 
-def _print_experiment(result: ExperimentResult, out=sys.stdout):
-    print("resolution,error,bound,passed", file=out)
+def _print_experiment(result: ExperimentResult):
+    print("resolution,error,bound,passed")
     for r in result.rows:
         ok = "" if r.bound is None else str(r.error <= r.bound).lower()
         bound = "" if r.bound is None else fmt17(r.bound)
-        print(f"{fmt17(r.resolution)},{fmt17(r.error)},{bound},{ok}", file=out)
+        print(f"{fmt17(r.resolution)},{fmt17(r.error)},{bound},{ok}")
     verdict = "PASS" if result.passed else "FAIL"
-    print(f"{result.label or 'experiment'}: {verdict} (fitted slope {result.fitted_slope:.4f})",
-          file=out)
+    print(f"{result.label or 'experiment'}: {verdict} (fitted slope {result.fitted_slope:.4f})")
 
 
 def _sidecar(ns: argparse.Namespace) -> str:

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import subprocess
 import sys
 
@@ -370,3 +372,18 @@ def test_clt_warns_when_the_reference_does_not_contract(tmp_path, capsys, monkey
     assert quiet.err == ""
     assert loud.out == quiet.out and loud_csv == quiet_csv
     assert loud.err.startswith("warning:") and "2.50e-04" in loud.err and "-1.4" in loud.err
+
+
+def test_clt_table_follows_a_redirected_stdout(tmp_path):
+    # the table is printed to the sys.stdout of the call, not of the import
+    out = tmp_path / "clt.csv"
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(_CLT_COARSE + ["--out", str(out)]) == 0
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == "resolution,error,bound,passed"
+    assert len(lines) == 1 + 3 + 2 and lines[4].startswith("clt") and "PASS" in lines[4]
+    assert lines[5].startswith("reference ")
+    _header, rows = parse_csv(out)
+    assert [line.split(",")[:3] for line in lines[1:4]] == [
+        [cli.fmt17(v) for v in row] for row in rows]
