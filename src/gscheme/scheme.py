@@ -6,10 +6,12 @@ once per time step.  Two backends realize it:
 * a uniform spatial grid with monotone piecewise-linear interpolation and
   clamp-constant extrapolation (general, scales to d <= 3).  Every atom moves
   every node by the same vector, so on the nodes the lookup is a fixed
-  2^d-tap stencil (``GridStencil``) whose cell offset and fraction are
-  computed once per atom and solve, applied as whole-array slices; off-grid
-  queries go through ``GridFunction.interp``.  ``solve_grid(keep='last')``
-  streams the levels through two arrays; and
+  2^d-tap stencil (``GridStencil``) applied as whole-array slices.  Each
+  atom's moves (per axis its slices, fraction and face fills) are built
+  once per solve, and each step takes the level's last-axis difference
+  once for every atom to read; off-grid queries go through
+  ``GridFunction.interp``.  ``solve_grid(keep='last')`` streams the levels
+  through two arrays; and
 * an exact recombining lattice whose nodes are the distinct reachable
   positions (interpolation-free; displacements that are whole multiples of
   one quantum give one integer interval of nodes per level).
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,29 +154,61 @@ def _offset(s: float, h: float) -> tuple[int, float]:
     return k, t - k
 
 
-def _shift_axis(v: np.ndarray, axis: int, k: int, f: float, out: np.ndarray) -> np.ndarray:
-    """Write into ``out`` the values of ``v`` at index i + k + f along ``axis``:
-    ``v[i+k] + f*(v[i+k+1] - v[i+k])`` where that lies in the box, the face
-    value beyond either face (clamp-constant)."""
-    n = v.shape[axis]
+class _Move(NamedTuple):
+    """One atom's read along one axis, the values at index i + k + f of every
+    node i, written into ``out``.  ``dst`` is the view of ``out`` on the nodes
+    whose query stays in the box; ``base`` and ``upper`` index their two
+    neighbours in the source; ``fills`` pairs each view of ``out`` past a face
+    with the index of that face in the source.  A ``shared`` move reads the
+    source's difference along the last axis instead of subtracting."""
+
+    out: np.ndarray
+    dst: np.ndarray
+    base: tuple
+    upper: tuple
+    f: np.ndarray
+    fills: tuple
+    shared: bool
+
+
+def _axis_move(out: np.ndarray, axis: int, k: int, f: float, shared: bool) -> _Move:
+    """The move by k whole cells and fraction f along ``axis``, written into ``out``."""
+    n = out.shape[axis]
     # nodes i in [lo, hi) look up inside [0, n-1]; below lo the query is
     # under the lower face, from hi on it is past the upper face
     lo = min(max(-k, 0), n)
     hi = max(min(n - k - (f > 0), n), lo)
     pre = (slice(None),) * axis
-    dst = out[pre + (slice(lo, hi),)]
-    a = v[pre + (slice(lo + k, hi + k),)]
-    if f > 0:
-        np.subtract(v[pre + (slice(lo + k + 1, hi + k + 1),)], a, out=dst)
-        dst *= f
+    fills = []
+    if lo:
+        fills.append((out[pre + (slice(0, lo),)], pre + (slice(0, 1),)))
+    if hi < n:
+        fills.append((out[pre + (slice(hi, n),)], pre + (slice(n - 1, n),)))
+    # f as a 0-d array, which numpy takes faster than a scalar operand
+    return _Move(out, out[pre + (slice(lo, hi),)], pre + (slice(lo + k, hi + k),),
+                 pre + (slice(lo + k + 1, hi + k + 1),), np.array(f), tuple(fills),
+                 shared and f > 0)
+
+
+def _shift_axis(v: np.ndarray, move: _Move, diff: np.ndarray) -> np.ndarray:
+    """Write into ``move.out`` the values of ``v`` at index i + k + f along the
+    move's axis: ``v[i+k] + f*(v[i+k+1] - v[i+k])`` where that lies in the box,
+    the face value beyond either face (clamp-constant).  A shared move takes
+    ``v[i+k+1] - v[i+k]`` from ``diff``, v's difference along the last axis."""
+    dst = move.dst
+    a = v[move.base]
+    if move.shared:
+        np.multiply(diff[move.base], move.f, dst)
+        dst += a
+    elif move.f > 0:
+        np.subtract(v[move.upper], a, dst)
+        dst *= move.f
         dst += a
     else:
         dst[...] = a
-    if lo:
-        out[pre + (slice(0, lo),)] = v[pre + (slice(0, 1),)]
-    if hi < n:
-        out[pre + (slice(hi, n),)] = v[pre + (slice(n - 1, n),)]
-    return out
+    for to, face in move.fills:
+        to[...] = v[face]
+    return move.out
 
 
 @dataclass(frozen=True)
@@ -299,43 +334,54 @@ class GridStencil:
 
     An atom with shift s moves every node by s, so its lookup is the same
     2^d-tap stencil at every node: per axis, k = floor(s/h) whole cells and a
-    fraction f (snapped as in ``GridFunction.interp``), computed once here.
-    Applying it takes whole-array slices ``v[i+k] + f*(v[i+k+1] - v[i+k])``
-    one axis at a time, last axis first; nodes whose query leaves the box
-    take the face value, which is the clamp-constant rule.  ``_sublinear_step``
-    sums each measure's weighted lookups and takes the family maximum.  The
-    operator owns its scratch arrays, so one instance serves one solve.
+    fraction f (snapped as in ``GridFunction.interp``).  Each atom's moves,
+    the index tuples of ``v[i+k] + f*(v[i+k+1] - v[i+k])`` one axis at a
+    time, last axis first, are built once here; nodes whose query leaves the
+    box take the face value, which is the clamp-constant rule.  Each step
+    takes the level's last-axis difference once, and every atom's first move
+    along that axis reads it rather than subtracting again; later axes read
+    an intermediate array and subtract there.  ``_sublinear_step`` sums each
+    measure's weighted lookups and takes the family maximum.  The operator
+    owns its scratch arrays, so one instance serves one solve.
     """
 
     def __init__(self, u: UncertaintySet, cfg: SchemeConfig):
         if u.d != cfg.d:
             raise ArgumentError(f"family has d = {u.d} but the grid has d = {cfg.d}")
         self.config = cfg
-        self.measures = [([self.taps(row) for row in shifts], ps)
-                         for shifts, ps in _shifts(u, cfg.delta)]
         self._acc, self._look, self._spare = (np.empty(cfg.grid_n) for _ in range(3))
+        self._diff = np.empty(cfg.grid_n[:-1] + (cfg.grid_n[-1] - 1,))
+        # weights as 0-d arrays too (see _axis_move)
+        self.measures = [([self.moves(row) for row in shifts], list(map(np.array, ps)))
+                         for shifts, ps in _shifts(u, cfg.delta)]
 
-    def taps(self, shift) -> tuple[tuple[int, float], ...]:
-        """Per axis, the whole cells k and fraction f of one shift vector."""
-        return tuple(_offset(float(c), h) for c, h in zip(shift, self.config.spacing))
+    def moves(self, shift) -> tuple[_Move, ...]:
+        """One shift vector's moves, last axis first, skipping the axes it
+        leaves in place; they write the two scratch arrays in turn."""
+        cfg = self.config
+        out = []
+        for axis in reversed(range(cfg.d)):
+            k, f = _offset(float(shift[axis]), cfg.spacing[axis])
+            if k or f:
+                buf = (self._look, self._spare)[len(out) % 2]
+                out.append(_axis_move(buf, axis, k, f, shared=axis == cfg.d - 1))
+        return tuple(out)
 
-    def lookup(self, v: np.ndarray, taps) -> np.ndarray:
-        """Values of v at every node moved by one atom's (k, f) per axis.
+    def lookup(self, v: np.ndarray, diff: np.ndarray, moves) -> np.ndarray:
+        """Values of v at every node moved by one atom's moves; ``diff`` is
+        ``v[..., 1:] - v[..., :-1]``.
 
         Returns v itself for a zero shift, else one of the scratch arrays,
         which the next call overwrites.
         """
-        src = v
-        for axis in reversed(range(len(taps))):
-            k, f = taps[axis]
-            if k or f:
-                dst = self._look if src is not self._look else self._spare
-                src = _shift_axis(src, axis, k, f, dst)
-        return src
+        for move in moves:
+            v = _shift_axis(v, move, diff)
+        return v
 
     def __call__(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the one-step operator applied to level v into ``out``."""
-        return _sublinear_step(self.measures, lambda taps: self.lookup(v, taps), out,
+        diff = np.subtract(v[..., 1:], v[..., :-1], out=self._diff)
+        return _sublinear_step(self.measures, lambda moves: self.lookup(v, diff, moves), out,
                                self._acc, self._look)
 
 

@@ -247,7 +247,7 @@ def test_stencil_matches_interp(rng, d):
     scale = float(np.max(np.abs(g.values)))
 
     def lookup(shift):
-        return stencil.lookup(g.values, stencil.taps(shift))
+        return stencil.lookup(g.values, np.diff(g.values, axis=-1), stencil.moves(shift))
 
     # zero shift: the level itself, bitwise
     assert np.array_equal(lookup(np.zeros(d)), g.values)
@@ -270,6 +270,96 @@ def test_stencil_matches_interp(rng, d):
             moved = cfg.axes[0] + shift[0]
             out = (moved < cfg.grid_lo[0] - h[0]) | (moved > cfg.grid_hi[0] + h[0])
             assert np.array_equal(lookup(shift)[out], interp_on_nodes(g, shift)[out])
+
+
+def _reference_shift_axis(v, axis, k, f, out):
+    """The stencil's one-axis read as first written: slice bounds and the
+    difference v[i+k+1] - v[i+k] worked out afresh for every atom."""
+    n = v.shape[axis]
+    lo = min(max(-k, 0), n)
+    hi = max(min(n - k - (f > 0), n), lo)
+    pre = (slice(None),) * axis
+    dst = out[pre + (slice(lo, hi),)]
+    a = v[pre + (slice(lo + k, hi + k),)]
+    if f > 0:
+        np.subtract(v[pre + (slice(lo + k + 1, hi + k + 1),)], a, out=dst)
+        dst *= f
+        dst += a
+    else:
+        dst[...] = a
+    if lo:
+        out[pre + (slice(0, lo),)] = v[pre + (slice(0, 1),)]
+    if hi < n:
+        out[pre + (slice(hi, n),)] = v[pre + (slice(n - 1, n),)]
+    return out
+
+
+def _reference_levels(u, cfg, phi):
+    """solve_grid's levels by a recursion on ``_reference_shift_axis``."""
+    from gscheme.scheme import _offset, _shifts, _sublinear_step
+
+    look, spare, acc = (np.empty(cfg.grid_n) for _ in range(3))
+
+    def lookup(v, taps):
+        src = v
+        for axis in reversed(range(len(taps))):
+            k, f = taps[axis]
+            if k or f:
+                dst = look if src is not look else spare
+                src = _reference_shift_axis(src, axis, k, f, dst)
+        return src
+
+    measures = [([tuple(_offset(float(c), h) for c, h in zip(row, cfg.spacing)) for row in shifts],
+                 ps) for shifts, ps in _shifts(u, cfg.delta)]
+    levels = [phi(cfg.nodes()).reshape(cfg.grid_n)]
+    for _ in range(int(math.floor(cfg.horizon / cfg.delta + 1e-9))):
+        v = levels[-1]
+        levels.append(_sublinear_step(measures, lambda taps: lookup(v, taps),
+                                      np.empty(cfg.grid_n), acc, look))
+    return levels
+
+
+def _stencil_cases(rng, d, h, width):
+    """Zero-mean measures of 2 and 4 atoms with unequal weights and drift.  Over
+    delta = 1/4 an atom moves by X/2 + Y/4: one atom is still, one moves by
+    whole cells (f = 0 on every axis), one leaves the last axis in place, one
+    moves wider than the box, and the rest by fractions of a cell."""
+    def atom(x, y, p):
+        return gs.Atom(np.atleast_1d(x), np.atleast_1d(y), p)
+
+    c = rng.uniform(0.3, 1.5, d) * h * rng.choice([-1.0, 1.0], d)
+    two = gs.DiscreteMeasure((atom(3 * c, rng.normal(scale=0.3, size=d), 0.25),
+                              atom(-c, rng.normal(scale=0.3, size=d), 0.75)))
+    whole = 2 * rng.integers(-4, 5, d) * h
+    still_last = rng.uniform(-2.0, 2.0, d) * h
+    still_last[-1] = 0.0
+    wide = 2 * rng.uniform(1.2, 2.0, d) * width * rng.choice([-1.0, 1.0], d)
+    ps = [0.1, 0.2, 0.3, 0.4]
+    xs = [np.zeros(d), whole, wide]
+    xs.append(-sum(p * x for p, x in zip(ps, xs)) / ps[3])
+    ys = [np.zeros(d), np.zeros(d), rng.normal(size=d), rng.normal(size=d)]
+    four = gs.DiscreteMeasure(tuple(atom(x, y, p) for x, y, p in zip(xs, ys, ps)))
+    moved = gs.DiscreteMeasure((atom(still_last, np.zeros(d), 0.5),
+                                atom(-still_last, np.zeros(d), 0.5)))
+    return [gs.UncertaintySet((two, four), d=d), gs.UncertaintySet((four, moved, two), d=d)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stencil_steps_are_bitwise_the_reference_recursion(rng, d):
+    cfg = gs.SchemeConfig(delta=0.25, horizon=0.75, grid_lo=tuple(rng.uniform(-2.0, -1.0, d)),
+                          grid_hi=tuple(rng.uniform(1.0, 2.0, d)), grid_n=(41, 9, 7)[:d])
+    h = np.array(cfg.spacing)
+    width = np.array(cfg.grid_hi) - np.array(cfg.grid_lo)
+    a, b = rng.normal(size=(2, d))
+    phi = gs.InitialData("waves", lambda x: np.sin(x.reshape(len(x), -1) @ a)
+                         + np.cos(x.reshape(len(x), -1) @ b), -2.0)
+    for _ in range(3):
+        for u in _stencil_cases(rng, d, h, width):
+            got = gs.solve_grid(u, cfg, phi).steps
+            want = _reference_levels(u, cfg, phi)
+            assert len(got) == len(want) == 4
+            for level, ref in zip(got, want):
+                assert np.array_equal(level.values, ref)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
