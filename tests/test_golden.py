@@ -13,6 +13,7 @@ import io
 import json
 import re
 import runpy
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -58,10 +59,13 @@ def run_cli_case(argv, workdir: Path) -> dict:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    dumps = {Path(argv[i]).name: hashlib.sha256(Path(argv[i]).read_bytes()).hexdigest()
-             for i in dumps}
+    hashes = {}
+    for i in dumps:
+        path = Path(argv[i])
+        hashes[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        path.unlink()  # up to 23 MB
     return {"exit": code, "stdout": buf.getvalue(),
-            "out": out.read_bytes() if out.exists() else None, "dumps": dumps}
+            "out": out.read_bytes() if out.exists() else None, "dumps": hashes}
 
 
 def run_demo(path: Path) -> str:
@@ -73,8 +77,6 @@ def run_demo(path: Path) -> str:
 
 def regenerate() -> None:
     """Rewrite every file under tests/golden/ from the current code."""
-    import tempfile
-
     GOLDEN.mkdir(exist_ok=True)
     manifest = {}
     for name, argv in CLI_CASES.items():

@@ -273,7 +273,7 @@ def test_stencil_matches_interp(rng, d):
 
 
 def _reference_shift_axis(v, axis, k, f, out):
-    """The stencil's one-axis read as first written: slice bounds and the
+    """Reference for the stencil's one-axis read: slice bounds and the
     difference v[i+k+1] - v[i+k] worked out afresh for every atom."""
     n = v.shape[axis]
     lo = min(max(-k, 0), n)
