@@ -184,7 +184,8 @@ def _axis_move(out: np.ndarray, axis: int, k: int, f: float, shared: bool) -> _M
         fills.append((out[pre + (slice(0, lo),)], pre + (slice(0, 1),)))
     if hi < n:
         fills.append((out[pre + (slice(hi, n),)], pre + (slice(n - 1, n),)))
-    # f as a 0-d array, which numpy takes faster than a scalar operand
+    # f as a 0-d array, which numpy takes faster than a scalar operand; a
+    # move with f = 0 copies, since a + 0*d would turn -0.0 into 0.0
     return _Move(out, out[pre + (slice(lo, hi),)], pre + (slice(lo + k, hi + k),),
                  pre + (slice(lo + k + 1, hi + k + 1),), np.array(f), tuple(fills),
                  shared and f > 0)
